@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Sweep universe sizes and tabulate cross-intersection margins.
 
-For each m, samples instances and reports how far the worst regular and
-special cross intersections sit above (or below) the exact expectations,
-in units of eps*m, plus the frequency of any low-intersection event.
+For each m, runs the concentration driver and reports how far the worst
+regular and special cross intersections sit above (or below) the exact
+expectations, in units of eps*m, plus the number of instances with any
+low-intersection event.
 
 Usage: python scripts/concentration_sweep.py [--sizes 160 1600 16000] [--n 4]
        [--trials 20] [--eps 0.002] [--seed 0]
@@ -11,8 +12,8 @@ Usage: python scripts/concentration_sweep.py [--sizes 160 1600 16000] [--n 4]
 
 import argparse
 
-from bxoslab import RngStream, sample_instance
-from bxoslab.valuations import cross_intersections
+from bxoslab.lab import ExperimentConfig, verify_concentration
+from bxoslab.valuations import cross_floors, eps_fraction
 
 
 def main() -> None:
@@ -27,23 +28,13 @@ def main() -> None:
     print(f"{'m':>9} {'reg_min':>12} {'reg_exact':>12} {'spec_min':>12} "
           f"{'spec_exact':>12} {'margin/eps*m':>13} {'low_events':>10}")
     for m in args.sizes:
-        rng = RngStream(args.seed, m)
-        reg_exact = 51 * m / 200
-        spec_exact = 61 * m / 240
-        reg_min = spec_min = None
-        events = 0
-        for trial in range(args.trials):
-            inst = sample_instance(m, args.n, "nu", rng.child(trial))
-            cross = cross_intersections(inst)
-            lo_r = min(cross.regular)
-            lo_s = min(cross.special_a + cross.special_b)
-            reg_min = lo_r if reg_min is None else min(reg_min, lo_r)
-            spec_min = lo_s if spec_min is None else min(spec_min, lo_s)
-            if lo_r < reg_exact - args.eps * m or lo_s < spec_exact - args.eps * m:
-                events += 1
-        margin = min(reg_min - reg_exact, spec_min - spec_exact) / (args.eps * m)
-        print(f"{m:>9} {reg_min:>12} {reg_exact:>12.1f} {spec_min:>12} "
-              f"{spec_exact:>12.1f} {margin:>13.2f} {events:>10}")
+        cfg = ExperimentConfig(m=m, n=args.n, eps=args.eps, trials=args.trials, seed=args.seed)
+        measured = verify_concentration(cfg)["checks"][1]["measured"]
+        reg_min, spec_min = measured["regular_min"], measured["special_min"]
+        reg_exact, spec_exact = cross_floors(m)
+        margin = min(reg_min - reg_exact, spec_min - spec_exact) / (eps_fraction(args.eps) * m)
+        print(f"{m:>9} {reg_min:>12} {float(reg_exact):>12.1f} {spec_min:>12} "
+              f"{float(spec_exact):>12.1f} {float(margin):>13.2f} {measured['instances_with_low_event']:>10}")
 
 
 if __name__ == "__main__":

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Compare the registered protocols over a batch of sampled instances.
 
-Prints per-protocol welfare-ratio statistics, round counts, communication,
-and how often the ratio clears 179/240 + eps (the level at which an
-allocation pins down the special copy).
+Runs the protocol driver once per registered protocol (every protocol sees
+the same instances) and prints per-protocol welfare-ratio statistics, round
+counts, communication, and how often the ratio clears 179/240 + eps (the
+level at which an allocation pins down the special copy).
 
 Usage: python scripts/protocol_bench.py [--m 160] [--n 8] [--trials 50]
        [--eps 0.002] [--seed 0]
@@ -12,8 +13,9 @@ Usage: python scripts/protocol_bench.py [--m 160] [--n 8] [--trials 50]
 import argparse
 from fractions import Fraction
 
-from bxoslab import RngStream, sample_instance
-from bxoslab.protocols import PROTOCOL_NAMES, run_on_instance
+from bxoslab.lab import ExperimentConfig, run_protocol_experiment
+from bxoslab.protocols import PROTOCOL_NAMES
+from bxoslab.valuations import recovery_threshold
 
 
 def main() -> None:
@@ -25,32 +27,16 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    rng = RngStream(args.seed, 0)
-    instances = []
-    for trial in range(args.trials):
-        stream = rng.child(trial)
-        instances.append((sample_instance(args.m, args.n, "nu", stream), stream))
-    bar = Fraction(179, 240) + Fraction(args.eps)
-
+    bar = recovery_threshold(args.m, args.eps) / args.m
     print(f"m={args.m} n={args.n} trials={args.trials} recovery bar={float(bar):.4f}")
     print(f"{'protocol':>15} {'ratio_mean':>11} {'ratio_min':>10} {'rounds':>7} "
           f"{'cc_max':>8} {'P[ratio>bar]':>13}")
     for name in PROTOCOL_NAMES:
-        ratios = []
-        rounds = set()
-        cc_max = 0
-        exceed = 0
-        for inst, stream in instances:
-            outcome, _, ratio = run_on_instance(name, inst, seed=int(stream.np.integers(1 << 62)))
-            ratios.append(ratio)
-            rounds.add(outcome.rounds)
-            cc_max = max(cc_max, outcome.cc_bits)
-            if ratio > bar:
-                exceed += 1
-        mean = float(sum(ratios) / len(ratios))
-        print(f"{name:>15} {mean:>11.4f} {float(min(ratios)):>10.4f} "
-              f"{'/'.join(map(str, sorted(rounds))):>7} {cc_max:>8} "
-              f"{exceed / args.trials:>13.2f}")
+        cfg = ExperimentConfig(m=args.m, n=args.n, eps=args.eps, trials=args.trials, seed=args.seed, protocol=name)
+        measured = run_protocol_experiment(cfg)["checks"][0]["measured"]
+        print(f"{name:>15} {measured['ratio_mean']:>11.4f} {float(Fraction(measured['ratio_min'])):>10.4f} "
+              f"{'/'.join(map(str, measured['rounds'])):>7} {measured['cc_bits_max']:>8} "
+              f"{measured['exceedance_probability']:>13.2f}")
 
 
 if __name__ == "__main__":

@@ -54,7 +54,7 @@ from .protocols import (
     check_truthful,
     execute,
 )
-from .infotheory import JointDistribution, divergences, entropy, mutual_info, verify_identities
+from .infotheory import JointDistribution, divergences, verify_identities
 from .lab import (
     ExperimentConfig,
     instance_from_json,

@@ -18,6 +18,7 @@ import sys
 
 from .construction import VARIANTS
 from .lab import (
+    ConfigError,
     ExperimentConfig,
     dump_instance,
     generate_instance,
@@ -47,7 +48,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ConfigError(f"BXOSLAB_SEED must be an integer, got {raw!r}") from None
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -91,7 +92,6 @@ def _config(args: argparse.Namespace, protocol: str | None = None) -> Experiment
         seed=seed,
         variant=args.variant,
         protocol=protocol,
-        out=args.out,
     )
 
 
@@ -99,10 +99,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gen":
-            cfg = _config(args)
-            inst = generate_instance(cfg)
-            if cfg.out:
-                dump_instance(inst, cfg.out)
+            inst = generate_instance(_config(args))
+            if args.out:
+                dump_instance(inst, args.out)
             else:
                 print(json.dumps(instance_to_json(inst), indent=2))
             return 0
@@ -121,20 +120,19 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "verify":
-            cfg = _config(args)
-            report = _VERIFIERS[args.what](cfg)
+            report = _VERIFIERS[args.what](_config(args))
         else:  # run
-            cfg = _config(args, protocol=args.protocol)
-            report = run_protocol_experiment(cfg)
+            report = run_protocol_experiment(_config(args, protocol=args.protocol))
 
-        if cfg.out:
-            write_report(report, cfg.out)
+        if args.out:
+            write_report(report, args.out)
         else:
             print(report_to_json(report))
         return 0 if report["passed"] else 1
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+    except (ValueError, OSError, KeyError) as exc:
         # ConfigError and ConstructionError are ValueErrors; so are bad
-        # payloads and out-of-range oracle requests.
+        # payloads and out-of-range oracle requests.  OSError covers
+        # unreadable or unwritable paths.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -302,11 +302,6 @@ def validate_profile(m: int, sets: Sequence[ItemSet], expected: Sequence[int]) -
     return part_profile(m, sets) == tuple(expected)
 
 
-def is_basis(s1: ItemSet, s2: ItemSet) -> bool:
-    m = s1.m
-    return validate_profile(m, (s1, s2), _scaled(_BASIS_BASE, m))
-
-
 def is_compatible(s: Basis, t: Basis) -> bool:
     """True iff the joint 16-cell profile matches; not symmetric in (s, t)."""
     m = s.m
@@ -319,11 +314,10 @@ def is_clause(a: ItemSet, base: Basis) -> bool:
 
 
 def is_clause_pair(a1: ItemSet, a2: ItemSet, base: Basis) -> bool:
-    vec = constant_vectors(base.m)
     return (
-        part_profile(base.m, base.sets(), a1) == vec.reg
-        and part_profile(base.m, base.rev.sets(), a2) == vec.reg
-        and part_profile(base.m, base.sets(), a1 & a2) == vec.regpair
+        is_clause(a1, base)
+        and is_clause(a2, base.rev)
+        and part_profile(base.m, base.sets(), a1 & a2) == constant_vectors(base.m).regpair
     )
 
 
@@ -419,8 +413,8 @@ def sample_instance(
     b1: list = [None] * n
     b2: list = [None] * n
 
+    s = sample_basis(m, rng)
     if variant == "nu":
-        s = sample_basis(m, rng)
         t = sample_compatible(s, rng)
         i_star = int(rng.np.integers(n))
         for i in range(n):
@@ -430,7 +424,6 @@ def sample_instance(
         special = sample_special_pair(s, t, rng)
         a1[i_star], a2[i_star] = special
     else:
-        s = sample_basis(m, rng)
         for i in range(n):
             a1[i], a2[i] = sample_clause_pair(s, rng)
         i_star = int(rng.np.integers(n))

@@ -104,19 +104,6 @@ class JointDistribution:
         return {k: v / total for k, v in table.items()}
 
 
-def entropy(d: JointDistribution, names: Sequence[str] | None = None) -> float:
-    return d.entropy(names)
-
-
-def mutual_info(
-    d: JointDistribution,
-    xs: Sequence[str],
-    ys: Sequence[str],
-    given: Sequence[str] = (),
-) -> float:
-    return d.mutual_information(xs, ys, given)
-
-
 def divergences(p, q) -> tuple[float, float]:
     """(KL divergence in bits, total variation distance) between two laws.
 

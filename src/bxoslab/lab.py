@@ -38,12 +38,13 @@ from .valuations import (
     RECOVER_AMBIGUOUS,
     RECOVER_NONE,
     build_valuations,
+    cross_floors,
     cross_intersections,
-    eps_fraction,
     opt_clause_pair,
     oracle_allocation,
     recover_theta,
     recovery_threshold,
+    split_welfares,
 )
 
 SIGNIFICANCE = 0.001
@@ -70,7 +71,6 @@ class ExperimentConfig:
     seed: int = 0
     variant: str = "nu"
     protocol: Optional[str] = None
-    out: Optional[str] = None
 
     def validate(self) -> None:
         if self.m < 16 or self.m % 16 != 0:
@@ -233,8 +233,7 @@ def _exact_delta_table(m: int) -> tuple[dict, bool]:
 
     a_side = {1: clause_param(s), 2: clause_param(s.rev)}
     b_side = {1: clause_param(t), 2: clause_param(t.rev)}
-    golden_reg = Fraction(51 * m, 200)
-    golden_spec = Fraction(61 * m, 240)
+    golden_reg, golden_spec = cross_floors(m)
     regular = {
         f"regular_{i}{j}": expected_intersection(a_side[i], b_side[j])
         for i in (1, 2)
@@ -268,12 +267,11 @@ def verify_concentration(cfg: ExperimentConfig) -> dict:
         "exact_expected_intersections",
         "pass" if delta_ok else "fail",
         delta_measured,
-        {"regular": frac_str(Fraction(51 * m, 200)), "special": frac_str(Fraction(61 * m, 240))},
+        {"regular": delta_measured["golden_regular"], "special": delta_measured["golden_special"]},
         time.perf_counter() - t0,
     )
 
-    reg_bar = Fraction(51 * m, 200) - eps_fraction(cfg.eps) * m
-    spec_bar = Fraction(61 * m, 240) - eps_fraction(cfg.eps) * m
+    reg_bar, spec_bar = cross_floors(m, cfg.eps)
     regular_all: list[int] = []
     special_all: list[int] = []
     event_count = 0
@@ -385,18 +383,9 @@ def _count_both_good(inst: Instance, eps: float) -> int:
     _, _, va1, va2, vb1, vb2 = build_valuations(inst)
     bar = recovery_threshold(m, eps)
     min_clearing = bar.__floor__() + 1  # welfares are integers; q > bar iff q >= this
-    full = np.uint32((1 << m) - 1)
     zs = np.arange(1 << m, dtype=np.uint32)
-    comp = zs ^ full
-
-    def family_max(valuation, masks):
-        vals = np.zeros(masks.shape, dtype=np.uint8)
-        for c in valuation.clauses:
-            np.maximum(vals, np.bitwise_count(masks & np.uint32(c.bits)), out=vals)
-        return vals.astype(np.int64)
-
-    q1 = family_max(va1, zs) + family_max(vb1, comp)
-    q2 = family_max(va2, zs) + family_max(vb2, comp)
+    q1 = split_welfares(va1, vb1, zs)
+    q2 = split_welfares(va2, vb2, zs)
     return int(np.count_nonzero((q1 >= min_clearing) & (q2 >= min_clearing)))
 
 
@@ -506,7 +495,7 @@ def run_protocol_experiment(cfg: ExperimentConfig) -> dict:
     welfares: list[int] = []
     rounds: list[int] = []
     ccs: list[int] = []
-    exceed_bar = Fraction(179, 240) + eps_fraction(cfg.eps)
+    exceed_bar = recovery_threshold(cfg.m, cfg.eps) / cfg.m
     exceed = 0
     t0 = time.perf_counter()
     for trial in range(cfg.trials):

@@ -216,9 +216,11 @@ def _bundle_report(width: int) -> Callable[[BXOSValuation, Transcript], Message]
     return report
 
 
-def trivial_bundle_protocol(m: int) -> Protocol:
+def _grand_bundle_protocol(
+    m: int, name: str, price: Callable[[Transcript, Transcript], tuple[Fraction, Fraction]]
+) -> Protocol:
     """One round: both bidders report their grand-bundle value and the whole
-    universe goes to the higher reporter (ties to the first bidder), free."""
+    universe goes to the higher reporter (ties to the first bidder)."""
     width = m.bit_length()
 
     def alloc(from_a: Transcript, from_b: Transcript) -> Allocation:
@@ -228,26 +230,24 @@ def trivial_bundle_protocol(m: int) -> Protocol:
         return Allocation(everything, nothing) if a_wins else Allocation(nothing, everything)
 
     return Protocol(
-        name="trivial",
+        name=name,
         simultaneous=True,
         bidder_a=_bundle_report(width),
         bidder_b=_bundle_report(width),
         seller=lambda a, b: None,
         alloc=alloc,
-        price=_zero_prices,
+        price=price,
     )
+
+
+def trivial_bundle_protocol(m: int) -> Protocol:
+    """Grand bundle to the higher reporter, free."""
+    return _grand_bundle_protocol(m, "trivial", _zero_prices)
 
 
 def bundle_vickrey_protocol(m: int) -> Protocol:
     """Grand-bundle second-price: winner takes all and pays the loser's
     report.  Truthful on any valuation set (a single-good Vickrey auction)."""
-    width = m.bit_length()
-
-    def alloc(from_a: Transcript, from_b: Transcript) -> Allocation:
-        a_wins = decode_uint(from_a[0]) >= decode_uint(from_b[0])
-        everything = ItemSet.full(m)
-        nothing = ItemSet.empty(m)
-        return Allocation(everything, nothing) if a_wins else Allocation(nothing, everything)
 
     def price(from_a: Transcript, from_b: Transcript) -> tuple[Fraction, Fraction]:
         bid_a = decode_uint(from_a[0])
@@ -256,15 +256,7 @@ def bundle_vickrey_protocol(m: int) -> Protocol:
             return (Fraction(bid_b), Fraction(0))
         return (Fraction(0), Fraction(bid_a))
 
-    return Protocol(
-        name="vickrey-bundle",
-        simultaneous=True,
-        bidder_a=_bundle_report(width),
-        bidder_b=_bundle_report(width),
-        seller=lambda a, b: None,
-        alloc=alloc,
-        price=price,
-    )
+    return _grand_bundle_protocol(m, "vickrey-bundle", price)
 
 
 def basis_exchange_protocol(inst: Instance) -> Protocol:

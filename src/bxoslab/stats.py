@@ -43,27 +43,12 @@ def _pool_pairs(counts_a: Sequence[int], counts_b: Sequence[int]) -> list[tuple[
 def two_sample_chi2(
     values_a: Iterable[int], values_b: Iterable[int]
 ) -> tuple[float, int, float]:
-    """Homogeneity test of two samples of discrete values."""
+    """Homogeneity test of two samples of discrete values: an independence
+    test on the (pooled bins x samples) table."""
     ca = Counter(values_a)
     cb = Counter(values_b)
     keys = sorted(set(ca) | set(cb))
-    pooled = _pool_pairs([ca.get(k, 0) for k in keys], [cb.get(k, 0) for k in keys])
-    if len(pooled) < 2:
-        return 0.0, 0, 1.0
-    tot_a = sum(a for a, _ in pooled)
-    tot_b = sum(b for _, b in pooled)
-    total = tot_a + tot_b
-    stat = 0.0
-    for a, b in pooled:
-        col = a + b
-        ea = tot_a * col / total
-        eb = tot_b * col / total
-        if ea > 0:
-            stat += (a - ea) ** 2 / ea
-        if eb > 0:
-            stat += (b - eb) ** 2 / eb
-    df = len(pooled) - 1
-    return stat, df, chi2_sf(stat, df)
+    return independence_chi2(_pool_pairs([ca.get(k, 0) for k in keys], [cb.get(k, 0) for k in keys]))
 
 
 def uniform_chi2(counts: Sequence[int]) -> tuple[float, int, float]:
@@ -82,7 +67,7 @@ def independence_chi2(table: Sequence[Sequence[int]]) -> tuple[float, int, float
     """Independence test on a contingency table (rows x columns)."""
     rows = [list(r) for r in table]
     row_sums = [sum(r) for r in rows]
-    col_sums = [sum(r[j] for r in rows) for j in range(len(rows[0]))]
+    col_sums = [sum(col) for col in zip(*rows)]
     total = sum(row_sums)
     live_rows = [i for i, s in enumerate(row_sums) if s > 0]
     live_cols = [j for j, s in enumerate(col_sums) if s > 0]

@@ -112,6 +112,19 @@ def oracle_allocation(va: BXOSValuation, vb: BXOSValuation) -> Allocation:
     return Allocation(z, ~z)
 
 
+def _family_max(v: BXOSValuation, masks: np.ndarray) -> np.ndarray:
+    vals = np.zeros(masks.shape, dtype=np.uint8)
+    for c in v.clauses:
+        np.maximum(vals, np.bitwise_count(masks & np.uint32(c.bits)), out=vals)
+    return vals
+
+
+def split_welfares(va: BXOSValuation, vb: BXOSValuation, zs: np.ndarray) -> np.ndarray:
+    """Welfare ``va(Z) + vb(~Z)`` of every split Z given as a uint32 mask in ``zs``."""
+    comp = zs ^ np.uint32((1 << va.m) - 1)
+    return _family_max(va, zs).astype(np.int64) + _family_max(vb, comp)
+
+
 def opt_bruteforce(va: BXOSValuation, vb: BXOSValuation) -> int:
     """Exact optimum by direct evaluation over every split of the universe.
 
@@ -123,21 +136,11 @@ def opt_bruteforce(va: BXOSValuation, vb: BXOSValuation) -> int:
         raise UniverseMismatch("valuations live over different universes")
     if m > _BRUTEFORCE_MAX_M:
         raise ValueError(f"universe of size {m} is too large for enumeration")
-    full = np.uint32((1 << m) - 1)
-    a_bits = [np.uint32(c.bits) for c in va.clauses]
-    b_bits = [np.uint32(c.bits) for c in vb.clauses]
     best = 0
     for start in range(0, 1 << m, _BRUTEFORCE_CHUNK):
         stop = min(start + _BRUTEFORCE_CHUNK, 1 << m)
         zs = np.arange(start, stop, dtype=np.uint32)
-        a_vals = np.zeros(zs.shape, dtype=np.uint8)
-        for cb in a_bits:
-            np.maximum(a_vals, np.bitwise_count(zs & cb), out=a_vals)
-        comp = zs ^ full
-        b_vals = np.zeros(zs.shape, dtype=np.uint8)
-        for cb in b_bits:
-            np.maximum(b_vals, np.bitwise_count(comp & cb), out=b_vals)
-        best = max(best, int((a_vals.astype(np.int64) + b_vals).max()))
+        best = max(best, int(split_welfares(va, vb, zs).max()))
     return best
 
 
@@ -177,6 +180,14 @@ def eps_fraction(eps: float) -> Fraction:
 
 def recovery_threshold(m: int, eps: float) -> Fraction:
     return Fraction(179 * m, 240) + eps_fraction(eps) * m
+
+
+def cross_floors(m: int, eps: float = 0.0) -> tuple[Fraction, Fraction]:
+    """Floors ``51 m / 200 - eps m`` and ``61 m / 240 - eps m`` for the
+    regular and special cross intersections; at ``eps = 0`` they are the
+    exact expectations."""
+    slack = eps_fraction(eps) * m
+    return Fraction(51 * m, 200) - slack, Fraction(61 * m, 240) - slack
 
 
 def envelope_welfares(inst: Instance, z: ItemSet) -> tuple[int, int]:
@@ -249,8 +260,7 @@ def cross_intersections(inst: Instance) -> CrossIntersections:
 def bad_events(inst: Instance, eps: float) -> dict[str, bool]:
     """Flags for the three low-intersection events that break recovery."""
     cross = cross_intersections(inst)
-    reg_bar = Fraction(51 * inst.m, 200) - eps_fraction(eps) * inst.m
-    spec_bar = Fraction(61 * inst.m, 240) - eps_fraction(eps) * inst.m
+    reg_bar, spec_bar = cross_floors(inst.m, eps)
     return {
         "regular_low": any(x < reg_bar for x in cross.regular),
         "special_a_low": any(x < spec_bar for x in cross.special_a),

@@ -41,7 +41,7 @@ from bxoslab.lab import ExperimentConfig, verify_nu_equivalence, verify_theta_re
 from bxoslab.protocols import bundle_vickrey_protocol, run_on_instance, trivial_bundle_protocol
 from bxoslab.sampling import pc_ally_avoidance_probability
 from bxoslab.stats import uniform_chi2
-from bxoslab.valuations import BXOSValuation, cross_intersections
+from bxoslab.valuations import BXOSValuation, cross_floors, cross_intersections
 
 LARGE_M = 1_600_000
 EPS = 0.002
@@ -140,8 +140,7 @@ def test_criterion_3_optimum_is_always_m():
 def test_criterion_4_concentration_at_scale(large_instances):
     t0 = time.perf_counter()
     m = LARGE_M
-    reg_floor = Fraction(51 * m, 200) - Fraction(EPS) * m
-    spec_floor = Fraction(61 * m, 240) - Fraction(EPS) * m
+    reg_floor, spec_floor = cross_floors(m, EPS)
     for inst in large_instances:
         cross = cross_intersections(inst)
         assert min(cross.regular) >= reg_floor

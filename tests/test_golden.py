@@ -1,0 +1,61 @@
+"""Golden digests of the canonical bytes of fast README CLI lines.
+
+Any change to the draw stream, the drivers or the report layout changes one
+of these digests; such a change must be deliberate and update them here.
+Reports are hashed in their canonical form (per-check runtimes stripped);
+``gen`` output is hashed as written.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from bxoslab.cli import main as cli_main
+from bxoslab.lab import canonical_report_bytes
+
+COMMON = ["--m", "160", "--seed", "7"]
+
+GOLDEN = {
+    "verify-theta": (
+        ["verify", "theta", *COMMON, "--n", "4", "--trials", "20"],
+        "90fac027e7cf01f00c46d10f4a283e6cb30db23ff983c398c4dd99b1a088bb09",
+    ),
+    "verify-nu-equivalence": (
+        ["verify", "nu-equivalence", *COMMON, "--n", "8", "--trials", "200"],
+        "6adaa5bea3a482ddb3a563cd3d51d188c2d0735844175117f7772ed3a12f1a69",
+    ),
+    "run-trivial": (
+        ["run", "--protocol", "trivial", *COMMON, "--n", "8", "--trials", "20"],
+        "3629bcc3692c88516b1fbde63a4cb131a5497964cfd98c1c968a41ca83167efa",
+    ),
+    "run-basis-exchange": (
+        ["run", "--protocol", "basis-exchange", *COMMON, "--n", "8", "--trials", "20"],
+        "05f698d75a0995b128fe5f3022129bf6a399be06cc633e6af14ca69de402ecc9",
+    ),
+    "run-random-clause": (
+        ["run", "--protocol", "random-clause", *COMMON, "--n", "8", "--trials", "20"],
+        "1421a7da90c8b6c6e838083a54be212d04ad19c8cb6d18f3c2ac655f4caf21d6",
+    ),
+    "run-vickrey-bundle": (
+        ["run", "--protocol", "vickrey-bundle", *COMMON, "--n", "8", "--trials", "20"],
+        "8ed546b0e37dd31c60b96372143893c6967daddeeebb0f91793f04a625741361",
+    ),
+}
+
+GEN_DIGEST = "a12b897779034a8df89539ae642381d6b3084c3ee7283bcf18746eebf82df589"
+
+
+def test_gen_bytes(tmp_path):
+    out = tmp_path / "instance.json"
+    assert cli_main(["gen", *COMMON, "--n", "8", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGEST
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_canonical_bytes(name, tmp_path):
+    argv, digest = GOLDEN[name]
+    out = tmp_path / "report.json"
+    assert cli_main([*argv, "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == digest

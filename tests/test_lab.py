@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from bxoslab.lab import (
     verify_nu_equivalence,
     verify_theta_recovery,
 )
+from bxoslab.protocols import PROTOCOL_NAMES
 from bxoslab.stats import independence_chi2, two_sample_chi2, uniform_chi2
 
 
@@ -110,6 +114,8 @@ class TestChiSquareHelpers:
 
     def test_degenerate_tables_are_neutral(self):
         assert two_sample_chi2([], []) == (0.0, 0, 1.0)
+        assert two_sample_chi2([1] * 20, []) == (0.0, 0, 1.0)
+        assert two_sample_chi2([1] * 20 + [2] * 20, []) == (0.0, 0, 1.0)
         assert uniform_chi2([5]) == (0.0, 0, 1.0)
         assert independence_chi2([[3, 0], [1, 0]])[2] == 1.0
 
@@ -235,13 +241,47 @@ class TestCli:
         measured = json.loads(out.read_text())["checks"][0]["measured"]
         assert measured["ratio_min"] == "1/2"
 
-    def test_env_seed_default(self, tmp_path, monkeypatch):
+    def test_env_seed_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BXOSLAB_SEED", "99")
         out1 = tmp_path / "a.json"
         out2 = tmp_path / "b.json"
         cli_main(["gen", "--m", "16", "--n", "2", "--out", str(out1)])
         cli_main(["gen", "--m", "16", "--n", "2", "--seed", "99", "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+        monkeypatch.setenv("BXOSLAB_SEED", "abc")
+        assert cli_main(["gen", "--m", "16", "--n", "2"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_out_path_does_not_change_canonical_bytes(self, tmp_path):
+        paths = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path in paths:
+            argv = ["verify", "theta", "--m", "160", "--n", "4", "--trials", "2", "--seed", "7"]
+            assert cli_main([*argv, "--out", str(path)]) == 0
+        a, b = (canonical_report_bytes(json.loads(p.read_text())) for p in paths)
+        assert a == b
 
     def test_missing_instance_file(self, capsys):
         assert cli_main(["opt", "--instance", "/nonexistent.json"]) == 2
+
+    def test_instance_path_is_a_directory(self, tmp_path, capsys):
+        assert cli_main(["opt", "--instance", str(tmp_path)]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def run_script(name, args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [name, *args])
+    runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+class TestScripts:
+    def test_concentration_sweep_prints_one_row_per_size(self, monkeypatch, capsys):
+        lines = run_script("concentration_sweep.py", ["--sizes", "160", "1600", "--trials", "2"], monkeypatch, capsys)
+        assert [line.split()[0] for line in lines[1:]] == ["160", "1600"]
+
+    def test_protocol_bench_prints_one_row_per_protocol(self, monkeypatch, capsys):
+        lines = run_script("protocol_bench.py", ["--m", "160", "--trials", "3"], monkeypatch, capsys)
+        assert [line.split()[0] for line in lines[2:]] == list(PROTOCOL_NAMES)
