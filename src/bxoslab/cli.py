@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .construction import VARIANTS
 from .lab import (
@@ -49,6 +50,15 @@ def _default_seed() -> int:
         return int(raw)
     except ValueError:
         raise ConfigError(f"BXOSLAB_SEED must be an integer, got {raw!r}") from None
+
+
+def _check_out(path: str) -> None:
+    """Reject an unusable ``--out`` before a driver spends time computing."""
+    out = Path(path)
+    if out.is_dir():
+        raise ConfigError(f"--out {path!r} is a directory")
+    if not out.parent.is_dir():
+        raise ConfigError(f"--out {path!r}: parent directory does not exist")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -98,6 +108,8 @@ def _config(args: argparse.Namespace, protocol: str | None = None) -> Experiment
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         if args.command == "gen":
             inst = generate_instance(_config(args))
             if args.out:

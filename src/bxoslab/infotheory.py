@@ -2,59 +2,98 @@
 
 Everything is enumerated, nothing is estimated: entropies and mutual
 informations come from full marginalization of an explicit probability
-table, in bits.  Probabilities are 64-bit floats; supports are kept tiny so
-roundoff stays far below the 1e-9 tolerances used by the identity suite.
+table, in bits.  A joint is a float64 ndarray with one axis per named
+variable; each axis carries the tuple of value labels its positions stand
+for.  Supports are kept tiny, so the dense table stays small and roundoff
+stays far below the 1e-9 tolerances used by the identity suite.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import product
 from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from .rng import RngStream
 
 _SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
 class JointDistribution:
-    """A named-variable probability table with full support enumeration."""
+    """A named-variable probability table: axis ``k`` of :attr:`table` is
+    variable ``variables[k]`` and position ``j`` on it is value
+    ``labels[k][j]``."""
 
-    variables: tuple[str, ...]
-    probs: dict[tuple, float]
-
-    def __post_init__(self) -> None:
-        if len(set(self.variables)) != len(self.variables):
+    def __init__(self, variables: Sequence[str], probs: Mapping[tuple, float]) -> None:
+        variables = tuple(variables)
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be distinct")
-        total = 0.0
-        for values, p in self.probs.items():
-            if len(values) != len(self.variables):
-                raise ValueError("support tuple arity does not match variables")
+        if any(len(values) != len(variables) for values in probs):
+            raise ValueError("support tuple arity does not match variables")
+        labels = [tuple(dict.fromkeys(col)) for col in zip(*probs)] if probs else [()] * len(variables)
+        codes = [{v: j for j, v in enumerate(axis)} for axis in labels]
+        table = np.zeros([len(axis) for axis in labels])
+        for values, p in probs.items():
             if p < -_SUM_TOL:
                 raise ValueError(f"negative probability {p}")
-            total += p
+            table[tuple(code[v] for code, v in zip(codes, values))] = p
+        total = float(table.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        self._set(variables, labels, table)
+
+    @classmethod
+    def _from_table(
+        cls, variables: Sequence[str], labels: Sequence[tuple], table: np.ndarray
+    ) -> "JointDistribution":
+        d = cls.__new__(cls)
+        d._set(tuple(variables), labels, table)
+        return d
+
+    def _set(self, variables: tuple[str, ...], labels: Sequence[tuple], table: np.ndarray) -> None:
+        self.variables = variables
+        self.labels = tuple(labels)
+        self.table = table
+        self._entropies: dict[frozenset, float] = {}
+
+    @property
+    def probs(self) -> dict[tuple, float]:
+        """The positive cells as a ``{value tuple: probability}`` table."""
+        return {
+            tuple(axis[j] for axis, j in zip(self.labels, idx)): float(self.table[tuple(idx)])
+            for idx in np.argwhere(self.table > 0.0).tolist()
+        }
 
     def _columns(self, names: Sequence[str]) -> list[int]:
+        if len(set(names)) != len(names):
+            raise ValueError(f"repeated variable in {tuple(names)}")
         try:
             return [self.variables.index(v) for v in names]
         except ValueError as exc:
             raise KeyError(f"unknown variable in {tuple(names)}") from exc
 
+    def _summed(self, cols: list[int]) -> np.ndarray:
+        """The marginal table on ``cols``, with its axes in ``cols`` order."""
+        keep = sorted(cols)
+        dropped = tuple(a for a in range(self.table.ndim) if a not in keep)
+        return self.table.sum(axis=dropped).transpose([keep.index(c) for c in cols])
+
     def marginal(self, names: Sequence[str]) -> "JointDistribution":
         cols = self._columns(names)
-        table: dict[tuple, float] = {}
-        for values, p in self.probs.items():
-            key = tuple(values[c] for c in cols)
-            table[key] = table.get(key, 0.0) + p
-        return JointDistribution(tuple(names), table)
+        return JointDistribution._from_table(names, [self.labels[c] for c in cols], self._summed(cols))
 
     def entropy(self, names: Sequence[str] | None = None) -> float:
         """Shannon entropy of the marginal on ``names``, in bits."""
-        probs = self.probs if names is None else self.marginal(names).probs
-        return -sum(p * math.log2(p) for p in probs.values() if p > 0.0)
+        names = self.variables if names is None else tuple(names)
+        key = frozenset(names)
+        h = self._entropies.get(key)
+        if h is None:
+            table = self._summed(self._columns(names))
+            p = table[table > 0.0]
+            h = self._entropies[key] = -float(np.dot(p, np.log2(p)))
+        return h
 
     def mutual_information(
         self,
@@ -68,40 +107,44 @@ class JointDistribution:
         in X and Y explicit.  The three groups must be disjoint.
         """
         groups = (*xs, *ys, *given)
-        if len(set(groups)) != len(groups):
-            raise ValueError("variable groups must be disjoint")
-        self._columns(groups)
+        self._columns(groups)  # rejects unknown and shared variables
         h_xz = self.entropy((*xs, *given))
         h_yz = self.entropy((*ys, *given))
         h_xyz = self.entropy(groups)
         h_z = self.entropy(given) if given else 0.0
         return h_xz + h_yz - h_xyz - h_z
 
-    def with_derived(self, name: str, func: Callable[[Mapping[str, object]], object]) -> "JointDistribution":
-        """Adjoin a deterministic function of the existing variables."""
+    def with_derived(
+        self, name: str, sources: Sequence[str], func: Callable[..., object]
+    ) -> "JointDistribution":
+        """Adjoin ``name = func(*values of sources)``, a deterministic function
+        of existing variables.  ``func`` is called once per combination of
+        source values, in row-major order."""
         if name in self.variables:
             raise ValueError(f"variable {name!r} already exists")
-        table: dict[tuple, float] = {}
-        for values, p in self.probs.items():
-            env = dict(zip(self.variables, values))
-            key = (*values, func(env))
-            table[key] = table.get(key, 0.0) + p
-        return JointDistribution((*self.variables, name), table)
+        cols = self._columns(sources)
+        outs = [func(*combo) for combo in product(*(self.labels[c] for c in cols))]
+        values = tuple(dict.fromkeys(outs))
+        code = {v: j for j, v in enumerate(values)}
+        codes = np.array([code[v] for v in outs], dtype=np.intp).reshape([len(self.labels[c]) for c in cols])
+        shape = [size if a in cols else 1 for a, size in enumerate(self.table.shape)]
+        codes = codes.transpose([cols.index(c) for c in sorted(cols)]).reshape(shape)
+        table = self.table[..., None] * (codes[..., None] == np.arange(len(values)))
+        return JointDistribution._from_table((*self.variables, name), (*self.labels, values), table)
 
     def conditional(self, names: Sequence[str], given: Mapping[str, object]) -> dict[tuple, float]:
         """Distribution of ``names`` given an assignment, as a plain table."""
-        cols = self._columns(names)
-        given_cols = [(self.variables.index(k), v) for k, v in given.items()]
-        table: dict[tuple, float] = {}
-        total = 0.0
-        for values, p in self.probs.items():
-            if all(values[c] == v for c, v in given_cols):
-                key = tuple(values[c] for c in cols)
-                table[key] = table.get(key, 0.0) + p
-                total += p
+        index = [slice(None)] * self.table.ndim
+        labels = list(self.labels)
+        for c, v in zip(self._columns(tuple(given)), given.values()):
+            # A value off the axis selects an empty slice: probability zero.
+            j = labels[c].index(v) if v in labels[c] else len(labels[c])
+            index[c], labels[c] = slice(j, j + 1), (v,)
+        table = self.table[tuple(index)]
+        total = float(table.sum())
         if total <= 0.0:
             raise ValueError("conditioning event has probability zero")
-        return {k: v / total for k, v in table.items()}
+        return JointDistribution._from_table(self.variables, labels, table / total).marginal(names).probs
 
 
 def divergences(p, q) -> tuple[float, float]:
@@ -139,43 +182,31 @@ def random_joint(
 ) -> JointDistribution:
     """A random joint over small supports: per-variable support sizes are
     drawn in [2, max_support] and the cell probabilities are normalized
-    uniform draws."""
+    uniform draws, laid out in row-major order."""
     sizes = [int(s) for s in rng.np.integers(2, max_support + 1, size=len(names))]
-    cells = 1
-    for s in sizes:
-        cells *= s
-    weights = rng.np.random(cells) + 1e-9
+    weights = rng.np.random(math.prod(sizes)) + 1e-9
     weights /= weights.sum()
-    table: dict[tuple, float] = {}
-    idx = [0] * len(sizes)
-    for flat in range(cells):
-        rem = flat
-        for pos in range(len(sizes) - 1, -1, -1):
-            idx[pos] = rem % sizes[pos]
-            rem //= sizes[pos]
-        table[tuple(idx)] = float(weights[flat])
-    return JointDistribution(tuple(names), table)
+    return JointDistribution._from_table(names, [tuple(range(s)) for s in sizes], weights.reshape(sizes))
 
 
 def _product_of_marginals(d: JointDistribution, xs: Sequence[str], ys: Sequence[str]) -> JointDistribution:
-    px = d.marginal(xs).probs
-    py = d.marginal(ys).probs
-    table = {(*kx, *ky): vx * vy for kx, vx in px.items() for ky, vy in py.items()}
-    return JointDistribution((*xs, *ys), table)
+    px = d.marginal(xs)
+    py = d.marginal(ys)
+    table = np.multiply.outer(px.table, py.table)
+    return JointDistribution._from_table((*xs, *ys), (*px.labels, *py.labels), table)
 
 
 def _expected_kl_form(d: JointDistribution, x: str, y: str, z: str) -> float:
-    """I(X; Y | Z) as the expected divergence of X's conditional laws."""
-    yz = d.marginal((y, z)).probs
-    total = 0.0
-    for (yv, zv), p in yz.items():
-        if p <= 0.0:
-            continue
-        cond_both = d.conditional((x,), {y: yv, z: zv})
-        cond_z = d.conditional((x,), {z: zv})
-        kl, _ = divergences(cond_both, cond_z)
-        total += p * kl
-    return total
+    """I(X; Y | Z) as the expected divergence of X's conditional laws:
+    the sum over (y, z) of p(y, z) KL(P(X | y, z) || P(X | z))."""
+    p_xyz = d.marginal((x, y, z)).table
+    p_yz = p_xyz.sum(axis=0)
+    p_xz = p_xyz.sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond_both = p_xyz / p_yz
+        cond_z = (p_xz / p_xz.sum(axis=0))[:, None, :]
+        terms = np.where(cond_both > 0.0, cond_both * np.log2(cond_both / cond_z), 0.0)
+    return float((p_yz * terms.sum(axis=0)).sum())
 
 
 def _index_selection_case(
@@ -193,21 +224,15 @@ def _index_selection_case(
     f_table = {}
     for flat in range(1 << n):
         for yv in range(y_size):
-            f_table[(flat, yv)] = int(rng.np.integers(0, 2))
+            f_table[(*((flat >> i) & 1 for i in range(n)), yv)] = int(rng.np.integers(0, 2))
     x_names = tuple(f"x{i}" for i in range(n))
-    table: dict[tuple, float] = {}
-    for flat in range(1 << n):
-        xs = tuple((flat >> i) & 1 for i in range(n))
-        px = 1.0
-        for xv in xs:
-            px *= p_one if xv else 1.0 - p_one
-        for yv in range(y_size):
-            for iv in range(n):
-                table[(*xs, yv, iv)] = px * float(y_weights[yv]) / n
-    d = JointDistribution((*x_names, "y", "i"), table)
-    flat_of = lambda env: sum(env[f"x{i}"] << i for i in range(n))
-    d = d.with_derived("f", lambda env: f_table[(flat_of(env), env["y"])])
-    d = d.with_derived("xi", lambda env: env[f"x{env['i']}"])
+    table = np.ones(())
+    for law in [(1.0 - p_one, p_one)] * n + [y_weights, np.full(n, 1.0 / n)]:
+        table = np.multiply.outer(table, law)
+    labels = [(0, 1)] * n + [tuple(range(y_size)), tuple(range(n))]
+    d = JointDistribution._from_table((*x_names, "y", "i"), labels, table)
+    d = d.with_derived("f", (*x_names, "y"), lambda *key: f_table[key])
+    d = d.with_derived("xi", (*x_names, "i"), lambda *key: key[key[-1]])
     lhs = d.mutual_information(("xi",), ("f",), ("y", "i"))
     rhs = d.mutual_information(x_names, ("f",), ("y",)) / n
     return lhs, rhs
@@ -221,21 +246,11 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    checks: dict[str, dict] = {
-        name: {"cases": 0, "worst": 0.0, "failures": []}
-        for name in (
-            "entropy_bounds",
-            "joint_entropy_subadditive",
-            "mi_nonnegative",
-            "independence_zero_mi",
-            "chain_rule",
-            "data_processing",
-            "mi_expected_kl",
-            "pinsker",
-            "pairwise_vs_joint_bound",
-            "index_selection",
-        )
-    }
+    names = (
+        "entropy_bounds", "joint_entropy_subadditive", "mi_nonnegative", "independence_zero_mi", "chain_rule",
+        "data_processing", "mi_expected_kl", "pinsker", "pairwise_vs_joint_bound", "index_selection",
+    )
+    checks: dict[str, dict] = {name: {"cases": 0, "worst": 0.0, "failures": []} for name in names}
 
     def record(name: str, residual: float, context: str) -> None:
         entry = checks[name]
@@ -254,27 +269,15 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
         supp_x = len(d.marginal((x,)).probs)
         hx = d.entropy((x,))
         record("entropy_bounds", max(-hx, hx - math.log2(supp_x)), label)
-        record(
-            "joint_entropy_subadditive",
-            d.entropy((x, y)) - d.entropy((x,)) - d.entropy((y,)),
-            label,
-        )
+        record("joint_entropy_subadditive", d.entropy((x, y)) - hx - d.entropy((y,)), label)
 
         # Non-negativity and the independence characterization.
         record("mi_nonnegative", -d.mutual_information((x,), (y,), (z,)), label)
         indep = _product_of_marginals(d, (w, x), (y, z))
-        record(
-            "independence_zero_mi",
-            abs(indep.mutual_information((w, x), (y, z))),
-            label,
-        )
+        record("independence_zero_mi", abs(indep.mutual_information((w, x), (y, z))), label)
         # Dependent direction: a perfect copy carries all of X's entropy.
-        d_copy = d.with_derived("xcopy", lambda env: env[x])
-        record(
-            "independence_zero_mi",
-            abs(d_copy.mutual_information((x,), ("xcopy",)) - hx),
-            label,
-        )
+        d_copy = d.with_derived("xcopy", (x,), lambda v: v)
+        record("independence_zero_mi", abs(d_copy.mutual_information((x,), ("xcopy",)) - hx), label)
 
         # Chain rule: I(WX; Y | Z) = I(W; Y | Z) + I(X; Y | WZ).
         lhs = d.mutual_information((w, x), (y,), (z,))
@@ -282,9 +285,8 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
         record("chain_rule", abs(lhs - rhs), label)
 
         # Data processing: I(X; f(Y) | Z) <= I(X; Y | Z).
-        y_values = sorted({values[d.variables.index(y)] for values in d.probs})
-        fmap = {v: int(stream.np.integers(0, 2)) for v in y_values}
-        d_f = d.with_derived("fy", lambda env: fmap[env[y]])
+        fmap = {v: int(stream.np.integers(0, 2)) for (v,) in sorted(d.marginal((y,)).probs)}
+        d_f = d.with_derived("fy", (y,), fmap.__getitem__)
         record(
             "data_processing",
             d_f.mutual_information((x,), ("fy",), (z,)) - d_f.mutual_information((x,), (y,), (z,)),
@@ -292,11 +294,8 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
         )
 
         # Conditional MI as an expected divergence.
-        record(
-            "mi_expected_kl",
-            abs(d.mutual_information((x,), (y,), (z,)) - _expected_kl_form(d, x, y, z)),
-            label,
-        )
+        mi_xy_z = d.mutual_information((x,), (y,), (z,))
+        record("mi_expected_kl", abs(mi_xy_z - _expected_kl_form(d, x, y, z)), label)
 
         # Distance bound on two random laws over a shared support.
         size = int(stream.np.integers(2, 7))
@@ -310,10 +309,7 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
 
         # max(I(W; X | YZ), I(Y; X | Z)) <= I(W; X | Z) + I(Y; X | WZ).
         bound = d.mutual_information((w,), (x,), (z,)) + d.mutual_information((y,), (x,), (w, z))
-        worst = max(
-            d.mutual_information((w,), (x,), (y, z)),
-            d.mutual_information((y,), (x,), (z,)),
-        )
+        worst = max(d.mutual_information((w,), (x,), (y, z)), d.mutual_information((y,), (x,), (z,)))
         record("pairwise_vs_joint_bound", worst - bound, label)
 
     # Exact selection constructions for the index-averaging inequality.

@@ -188,7 +188,8 @@ def instance_from_json(data: dict) -> Instance:
             r_b=tuple(int(r) for r in data["rB"]),
             seed=int(data.get("seed", 0)),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        # OverflowError: JSON reads 1e400 as inf, which int() cannot take.
         raise ConstructionError(f"malformed instance payload: {exc}") from exc
     inst.validate()
     return inst

@@ -38,7 +38,7 @@ def encode_uint(value: int, width: int) -> Message:
     return format(value, f"0{width}b") if width else ""
 
 def decode_uint(msg: Message) -> int:
-    return int(msg, 2) if msg else 0
+    return int(_check_bits(msg, "integer field"), 2) if msg else 0
 
 
 def encode_set(s: ItemSet) -> Message:
@@ -49,7 +49,7 @@ def encode_set(s: ItemSet) -> Message:
 def decode_set(m: int, msg: Message) -> ItemSet:
     if len(msg) != m:
         raise ProtocolError(f"set message has {len(msg)} bits, expected {m}")
-    return ItemSet(m, int(msg[::-1], 2))
+    return ItemSet(m, int(_check_bits(msg, "set field")[::-1], 2))
 
 
 def encode_basis(s1: ItemSet, s2: ItemSet) -> Message:
@@ -86,8 +86,9 @@ class ProtocolOutcome:
 
 
 def _check_bits(msg: Message, origin: str) -> Message:
-    if not isinstance(msg, str) or any(ch not in "01" for ch in msg):
-        raise ProtocolError(f"{origin} produced a non-binary message")
+    # int(msg, 2) alone would also take "_", a sign and surrounding spaces.
+    if not isinstance(msg, str) or msg.count("0") + msg.count("1") != len(msg):
+        raise ProtocolError(f"non-binary message ({origin})")
     return msg
 
 

@@ -4,11 +4,41 @@ from itertools import combinations
 import pytest
 
 from bxoslab import JointDistribution, RngStream, divergences
-from bxoslab.infotheory import random_joint, verify_identities
+from bxoslab.infotheory import _index_selection_case, random_joint, verify_identities
 
 
 def dist1(name, table):
     return JointDistribution((name,), {(k,): v for k, v in table.items()})
+
+
+# Dict-of-tuples reference: the loop form the array-backed class replaced.
+def ref_marginal(variables, probs, names):
+    cols = [variables.index(v) for v in names]
+    out = {}
+    for values, p in probs.items():
+        key = tuple(values[c] for c in cols)
+        out[key] = out.get(key, 0.0) + p
+    return out
+
+
+def ref_entropy(variables, probs, names):
+    return -sum(p * math.log2(p) for p in ref_marginal(variables, probs, names).values() if p > 0.0)
+
+
+def ref_mutual_information(variables, probs, xs, ys, given=()):
+    def h(names):
+        return ref_entropy(variables, probs, names)
+
+    return h((*xs, *given)) + h((*ys, *given)) - h((*xs, *ys, *given)) - h(given)
+
+
+def ref_with_derived(variables, probs, name, sources, func):
+    cols = [variables.index(v) for v in sources]
+    out = {}
+    for values, p in probs.items():
+        key = (*values, func(*(values[c] for c in cols)))
+        out[key] = out.get(key, 0.0) + p
+    return (*variables, name), out
 
 
 class TestJointDistribution:
@@ -29,6 +59,38 @@ class TestJointDistribution:
         assert cond == {(0,): 0.5, (1,): 0.5}
         with pytest.raises(KeyError):
             d.marginal(("zzz",))
+        with pytest.raises(KeyError):
+            d.entropy(("zzz",))
+        with pytest.raises(KeyError):
+            d.conditional(("y",), {"zzz": 0})
+        with pytest.raises(ValueError, match="probability zero"):
+            d.conditional(("x",), {"y": 7})
+        with pytest.raises(ValueError, match="probability zero"):
+            d.conditional(("x",), {"x": 1, "y": 1})
+
+    def test_matches_dict_reference(self):
+        rng = RngStream(12, 0)
+        for trial in range(30):
+            d = random_joint(rng.child(trial), max_support=3 + trial % 3)
+            variables, probs = d.variables, d.probs
+            # The derived variables read their sources out of axis order.
+            derived = (("s", ("z", "x"), lambda z, x: (x + 2 * z) % 3), ("c", ("w",), lambda w: w % 2))
+            for name, sources, func in derived:
+                d = d.with_derived(name, sources, func)
+                variables, probs = ref_with_derived(variables, probs, name, sources, func)
+            assert d.variables == variables
+            assert d.probs.keys() == {k for k, p in probs.items() if p > 0.0}
+            rebuilt = JointDistribution(variables, probs)
+            for names in (("z", "x"), ("s", "w", "y"), ("c", "s"), ("y",)):
+                got = d.marginal(names).probs
+                want = ref_marginal(variables, probs, names)
+                assert got.keys() == want.keys()
+                assert all(abs(got[k] - want[k]) < 1e-12 for k in want)
+                for joint in (d, rebuilt):
+                    assert abs(joint.entropy(names) - ref_entropy(variables, probs, names)) < 1e-12
+            for xs, ys, given in ((("z",), ("x",), ("y", "w")), (("s",), ("c", "y"), ()), (("x", "w"), ("s",), ("z",))):
+                want = ref_mutual_information(variables, probs, xs, ys, given)
+                assert abs(d.mutual_information(xs, ys, given) - want) < 1e-12
 
 
 class TestEntropy:
@@ -136,6 +198,15 @@ class TestIdentitySuite:
         assert report["failures"] == 0
         for entry in report["checks"].values():
             assert entry["cases"] > 0
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_index_selection_at_larger_n(self, n):
+        rng = RngStream(13, 0)
+        for case in range(3):
+            stream = rng.child(case)
+            p_one = 0.05 + 0.9 * float(stream.np.random())
+            lhs, rhs = _index_selection_case(stream, n, p_one, y_size=2 + case % 2)
+            assert lhs <= rhs + 1e-9
 
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from bxoslab import sample_instance
+from bxoslab import cli
 from bxoslab.cli import main as cli_main
 from bxoslab.construction import ConstructionError, reference_instance
 from bxoslab.lab import (
@@ -266,6 +267,22 @@ class TestCli:
     def test_instance_path_is_a_directory(self, tmp_path, capsys):
         assert cli_main(["opt", "--instance", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_instance_with_infinite_field(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text('{"m": 1e400}')
+        assert cli_main(["opt", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("where", ["missing-parent", "directory"])
+    def test_unusable_out_fails_before_the_driver(self, where, tmp_path, monkeypatch, capsys):
+        def driver(cfg):
+            raise AssertionError("the driver ran")
+
+        monkeypatch.setitem(cli._VERIFIERS, "info", driver)
+        out = tmp_path / "no" / "such" / "r.json" if where == "missing-parent" else tmp_path
+        assert cli_main(["verify", "info", "--trials", "1000", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
