@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Literal, Sequence
 
 from .itemsets import ItemSet, UniverseMismatch, part_cells, part_profile
@@ -73,9 +73,19 @@ class Basis:
     def m(self) -> int:
         return self.s1.m
 
-    @property
+    @cached_property
+    def cells(self) -> tuple[ItemSet, ...]:
+        """The four membership-pattern cells of (s1, s2), in pattern order."""
+        return tuple(part_cells(self.m, self.sets()))
+
+    @cached_property
     def rev(self) -> "Basis":
-        return Basis(self.s2, self.s1)
+        rev = Basis(self.s2, self.s1)
+        # Swapping the halves swaps patterns 01 and 10, so the reversal
+        # shares this basis's cells instead of holding a second copy.
+        c = self.cells
+        rev.__dict__.update(cells=(c[0], c[2], c[1], c[3]), rev=self)
+        return rev
 
     def sets(self) -> tuple[ItemSet, ItemSet]:
         return (self.s1, self.s2)
@@ -255,8 +265,7 @@ def sample_basis(m: int, rng: RngStream) -> Basis:
 
 def sample_compatible(base: Basis, rng: RngStream) -> Basis:
     """Uniform draw over bases the given basis is compatible with."""
-    cells = part_cells(base.m, base.sets())
-    classes = refine_sample(cells, compatible_cell_counts(base.m), rng)
+    classes = refine_sample(base.cells, compatible_cell_counts(base.m), rng)
     return _basis_from_pattern_classes(classes)
 
 
@@ -271,8 +280,7 @@ def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
     The first component is a clause with respect to the basis, the second
     with respect to its reversal, and their overlap profile is fixed.
     """
-    cells = part_cells(base.m, base.sets())
-    classes = refine_sample(cells, clause_pair_cell_counts(base.m), rng)
+    classes = refine_sample(base.cells, clause_pair_cell_counts(base.m), rng)
     return _pair_from_joint_classes(classes)
 
 
@@ -308,16 +316,22 @@ def is_compatible(s: Basis, t: Basis) -> bool:
     return validate_profile(m, (*s.sets(), *t.sets()), constant_vectors(m).cmp)
 
 
+def _profile_in_cells(base: Basis, a: ItemSet) -> tuple[int, ...]:
+    # part_profile(base.m, base.sets(), a) from the basis's cached cells.
+    if a.m != base.m:
+        raise UniverseMismatch(f"set width {a.m} does not match universe {base.m}")
+    return tuple((c.bits & a.bits).bit_count() for c in base.cells)
+
+
 def is_clause(a: ItemSet, base: Basis) -> bool:
-    vec = constant_vectors(base.m)
-    return part_profile(base.m, base.sets(), a) == vec.reg
+    return _profile_in_cells(base, a) == constant_vectors(base.m).reg
 
 
 def is_clause_pair(a1: ItemSet, a2: ItemSet, base: Basis) -> bool:
     return (
         is_clause(a1, base)
         and is_clause(a2, base.rev)
-        and part_profile(base.m, base.sets(), a1 & a2) == constant_vectors(base.m).regpair
+        and _profile_in_cells(base, a1 & a2) == constant_vectors(base.m).regpair
     )
 
 

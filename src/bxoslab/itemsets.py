@@ -8,10 +8,21 @@ intersections stay cheap even at millions of items.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+
+
+_LOWER_HEX = re.compile("[0-9a-f]*")
+# Up to this many indices, OR-ing shifted ints beats one packbits pass over
+# the universe (its fixed cost is a few microseconds even at m = 8).
+_FEW_INDICES = 32
+
+
+def _outside_universe(m: int) -> ValueError:
+    return ValueError(f"item index outside universe of size {m}")
 
 
 class UniverseMismatch(ValueError):
@@ -61,36 +72,44 @@ class ItemSet:
 
     @classmethod
     def from_numpy_indices(cls, m: int, indices: np.ndarray) -> "ItemSet":
-        """Fast path for index arrays produced by the samplers."""
-        if indices.size == 0:
-            return cls(m, 0)
-        if m <= 512:
+        """Set of the items in an integer index array (repeats allowed);
+        raises ``ValueError`` for an index outside ``[0, m)``."""
+        if indices.size <= _FEW_INDICES:
+            items = indices.tolist()
+            # Checked before shifting: 1 << i for a huge i would not fit in memory.
+            if items and (min(items) < 0 or max(items) >= m):
+                raise _outside_universe(m)
             bits = 0
-            for i in indices.tolist():
+            for i in items:
                 bits |= 1 << i
             return cls(m, bits)
         buf = np.zeros(m, dtype=bool)
-        buf[indices] = True
+        try:
+            # Numpy would wrap a negative index round to the end of ``buf``.
+            if indices.min() < 0:
+                raise IndexError
+            buf[indices] = True
+        except IndexError:
+            raise _outside_universe(m) from None
         raw = np.packbits(buf, bitorder="little").tobytes()
         return cls(m, int.from_bytes(raw, "little"))
 
     @classmethod
     def from_hex(cls, m: int, text: str) -> "ItemSet":
-        raw = bytes.fromhex(text)
-        if len(raw) != (m + 7) // 8:
-            raise ValueError(f"hex payload is {len(raw)} bytes, expected {(m + 7) // 8}")
-        return cls(m, int.from_bytes(raw, "little"))
+        """Inverse of :meth:`to_hex`: only that method's output is accepted,
+        lowercase hex digits of exactly the serialized length."""
+        want = 2 * ((m + 7) // 8)
+        if len(text) != want or not _LOWER_HEX.fullmatch(text):
+            raise ValueError(f"expected {want} lowercase hex digits for a universe of size {m}")
+        return cls(m, int.from_bytes(bytes.fromhex(text), "little"))
 
     def to_hex(self) -> str:
         return self.bits.to_bytes((self.m + 7) // 8, "little").hex()
 
     def indices(self) -> np.ndarray:
-        """Member items as a sorted int64 array."""
-        if self.bits == 0:
-            return np.empty(0, dtype=np.int64)
-        raw = self.bits.to_bytes((self.m + 7) // 8, "little")
-        unpacked = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return np.flatnonzero(unpacked[: self.m]).astype(np.int64)
+        """Member items as a sorted integer array."""
+        raw = np.frombuffer(self.bits.to_bytes((self.m + 7) // 8, "little"), dtype=np.uint8)
+        return np.unpackbits(raw, count=self.m, bitorder="little").view(bool).nonzero()[0]
 
     def __len__(self) -> int:
         return self.bits.bit_count()
@@ -152,6 +171,18 @@ class ItemSet:
         return f"ItemSet(m={self.m}, |.|={len(self)})"
 
 
+def _cell_bits(m: int, sets: Sequence[ItemSet], start: int) -> list[int]:
+    # Bitmasks of the membership-pattern cells of ``sets`` within ``start``.
+    full = (1 << m) - 1
+    cells = [start]
+    for s in sets:
+        if s.m != m:
+            raise UniverseMismatch(f"set width {s.m} does not match universe {m}")
+        inv = s.bits ^ full
+        cells = [c & b for c in cells for b in (inv, s.bits)]
+    return cells
+
+
 def part_cells(m: int, sets: Sequence[ItemSet]) -> list[ItemSet]:
     """Partition the universe by membership pattern in ``sets``.
 
@@ -160,18 +191,7 @@ def part_cells(m: int, sets: Sequence[ItemSet]) -> list[ItemSet]:
     ``sum(b[i] << (k-1-i))`` holds exactly the items whose membership
     indicator in ``sets[i]`` equals ``b[i]`` for every ``i``.
     """
-    full = (1 << m) - 1
-    cells = [full]
-    for s in sets:
-        if s.m != m:
-            raise UniverseMismatch(f"set width {s.m} does not match universe {m}")
-        nxt = []
-        inv = s.bits ^ full
-        for c in cells:
-            nxt.append(c & inv)
-            nxt.append(c & s.bits)
-        cells = nxt
-    return [ItemSet(m, c) for c in cells]
+    return [ItemSet(m, c) for c in _cell_bits(m, sets, (1 << m) - 1)]
 
 
 def part_profile(
@@ -184,7 +204,5 @@ def part_profile(
     """
     if mask is not None and mask.m != m:
         raise UniverseMismatch(f"mask width {mask.m} does not match universe {m}")
-    cells = part_cells(m, sets)
-    if mask is None:
-        return tuple(len(c) for c in cells)
-    return tuple((c.bits & mask.bits).bit_count() for c in cells)
+    start = (1 << m) - 1 if mask is None else mask.bits
+    return tuple(c.bit_count() for c in _cell_bits(m, sets, start))

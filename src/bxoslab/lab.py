@@ -164,11 +164,24 @@ def instance_to_json(inst: Instance) -> dict:
     }
 
 
+def _int_field(value, name: str) -> int:
+    # Exact type: a float would be truncated, and JSON true/false is a bool.
+    if type(value) is not int:
+        raise ConstructionError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _int_list_field(value, name: str) -> tuple[int, ...]:
+    if type(value) is not list or any(type(v) is not int for v in value):
+        raise ConstructionError(f"{name} must be a list of integers, got {value!r}")
+    return tuple(value)
+
+
 def instance_from_json(data: dict) -> Instance:
     """Parse and re-validate; rejects any invariant violation."""
     try:
-        m = int(data["m"])
-        n = int(data["n"])
+        m = _int_field(data["m"], "m")
+        n = _int_field(data["n"], "n")
         sets = {
             key: tuple(ItemSet.from_hex(m, h) for h in data[key]) for key in ("S", "T", "A1", "A2", "B1", "B2")
         }
@@ -178,18 +191,17 @@ def instance_from_json(data: dict) -> Instance:
             variant=data["variant"],
             s=Basis(*sets["S"]),
             t=Basis(*sets["T"]),
-            i_star=int(data["i_star"]) - 1,
+            i_star=_int_field(data["i_star"], "i_star") - 1,
             a1=sets["A1"],
             a2=sets["A2"],
             b1=sets["B1"],
             b2=sets["B2"],
-            theta=int(data["theta"]),
-            r_a=tuple(int(r) for r in data["rA"]),
-            r_b=tuple(int(r) for r in data["rB"]),
-            seed=int(data.get("seed", 0)),
+            theta=_int_field(data["theta"], "theta"),
+            r_a=_int_list_field(data["rA"], "rA"),
+            r_b=_int_list_field(data["rB"], "rB"),
+            seed=_int_field(data.get("seed", 0), "seed"),
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        # OverflowError: JSON reads 1e400 as inf, which int() cannot take.
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConstructionError(f"malformed instance payload: {exc}") from exc
     inst.validate()
     return inst
@@ -227,7 +239,7 @@ def _exact_delta_table(m: int) -> tuple[dict, bool]:
     s, t = inst.s, inst.t
 
     def clause_param(basis: Basis) -> PartitionParameter:
-        return PartitionParameter(tuple(part_cells(m, basis.sets())), vec.reg)
+        return PartitionParameter(basis.cells, vec.reg)
 
     def special_param(profile: tuple[int, ...]) -> PartitionParameter:
         return PartitionParameter(tuple(part_cells(m, (*s.sets(), *t.sets()))), profile)

@@ -121,14 +121,25 @@ def refine_sample(
     cell the assignment is uniform over all assignments meeting the counts,
     and cells are independent.  Returns the ``c`` class sets, which partition
     the universe.
+
+    Draw order, which the golden digests pin: cells are visited in order; a
+    cell whose items all land in one class draws nothing; every other cell
+    draws one uniform permutation of its items in ascending order (the draws
+    of ``rng.np.permutation``), and the classes with a non-zero count take
+    consecutive blocks of that permutation in class order.
     """
     if not base_cells:
         raise InvalidParameter("at least one cell is required")
     if len(class_counts) != len(base_cells):
         raise InvalidParameter("one count row per cell is required")
     m = base_cells[0].m
+    # Smallest dtype that holds every item index (uint32 at m = 1.6M), so the
+    # blocks held until the classes are built take half the int64 memory or
+    # less.  A shuffle's draws depend only on the length, not the dtype.
+    index_dtype = np.min_scalar_type(m - 1)
     n_classes = len(class_counts[0])
     acc = [0] * n_classes
+    pieces: list[list[np.ndarray]] = [[] for _ in range(n_classes)]
     for cell, row in zip(base_cells, class_counts):
         if cell.m != m:
             raise UniverseMismatch("cells live over different universes")
@@ -144,12 +155,17 @@ def refine_sample(
             # Whole cell lands in one class; no shuffle needed.
             acc[nonzero[0]] |= cell.bits
             continue
-        perm = rng.np.permutation(cell.indices())
+        # ``rng.np.permutation`` is a copy plus this in-place shuffle.
+        perm = cell.indices().astype(index_dtype)
+        rng.np.shuffle(perm)
         pos = 0
-        for j, cnt in enumerate(row):
-            if cnt:
-                acc[j] |= ItemSet.from_numpy_indices(m, perm[pos : pos + cnt]).bits
-                pos += cnt
+        for j in nonzero:
+            pieces[j].append(perm[pos : pos + row[j]])
+            pos += row[j]
+    for j, parts in enumerate(pieces):
+        if parts:
+            items = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            acc[j] |= ItemSet.from_numpy_indices(m, items).bits
     return [ItemSet(m, a) for a in acc]
 
 

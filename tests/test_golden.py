@@ -52,6 +52,21 @@ def test_gen_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGEST
 
 
+# Above m = 512 the sampled sets are built through the packbits path.
+GEN_DIGESTS_M1024 = {
+    "nu": "8645673be31fae179f2901af0a49a4d6e03b213c8b2b55975cdbe0f55824a625",
+    "nu_prime": "0ca393a0f24d93d7edbfabdd87a1f7204cac0fd579de78e9b3f51ec6b95c0b58",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GEN_DIGESTS_M1024))
+def test_gen_bytes_m1024(variant, tmp_path):
+    out = tmp_path / "instance.json"
+    argv = ["gen", "--m", "1024", "--n", "4", "--seed", "7", "--variant", variant, "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M1024[variant]
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_canonical_bytes(name, tmp_path):
     argv, digest = GOLDEN[name]

@@ -73,6 +73,23 @@ class TestItemSet:
         s = ItemSet.from_numpy_indices(1000, idx)
         assert list(s) == [0, 700, 999]
 
+    @pytest.mark.parametrize("m", [160, 1000])
+    @pytest.mark.parametrize("n_valid", [1, 100])
+    @pytest.mark.parametrize("bad", [-1, "m", "-m-1", 1 << 40])
+    def test_from_numpy_rejects_out_of_universe_indices(self, m, n_valid, bad):
+        # Few and many indices take the two build paths.
+        import numpy as np
+
+        index = {"m": m, "-m-1": -m - 1}.get(bad, bad)
+        with pytest.raises(ValueError, match="outside universe"):
+            ItemSet.from_numpy_indices(m, np.append(np.arange(n_valid), index))
+
+    @pytest.mark.parametrize("text", ["00 FF", "00FF", "00ff\n", " 00ff", "0x00", "+0ff", "00f"])
+    def test_from_hex_accepts_only_to_hex_output(self, text):
+        assert ItemSet.from_hex(16, "00ff") == ItemSet.from_indices(16, range(8, 16))
+        with pytest.raises(ValueError):
+            ItemSet.from_hex(16, text)
+
 
 class TestPart:
     def test_empty_sequence_yields_full_universe(self):

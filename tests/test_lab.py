@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from bxoslab import sample_instance
+from bxoslab import RngStream, sample_instance
 from bxoslab import cli
 from bxoslab.cli import main as cli_main
 from bxoslab.construction import ConstructionError, reference_instance
@@ -77,6 +77,29 @@ class TestSerialization:
         data["A1"][0] = "ffff"
         with pytest.raises(ConstructionError):
             instance_from_json(data)
+
+    @pytest.mark.parametrize(
+        "key, corrupt",
+        [
+            ("m", lambda v: v + 0.9),
+            ("n", float),
+            ("i_star", float),
+            ("theta", lambda v: v + 0.5),
+            ("seed", lambda v: v + 0.5),
+            ("rA", lambda v: "".join(map(str, v))),
+            ("rB", lambda v: [float(r) for r in v]),
+        ],
+    )
+    def test_non_integer_fields_rejected(self, key, corrupt, tmp_path, capsys):
+        # Each corruption would truncate or iterate back to the same values.
+        data = instance_to_json(sample_instance(16, 3, "nu", RngStream(5, 0)))
+        data[key] = corrupt(data[key])
+        with pytest.raises(ConstructionError, match=key):
+            instance_from_json(data)
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(data))
+        assert cli_main(["opt", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_malformed_payload_rejected(self):
         with pytest.raises(ConstructionError):

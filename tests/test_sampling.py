@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -122,6 +123,67 @@ class TestRefineSample:
                 hits[i] += 1
         for h in hits:
             assert abs(h / draws - 0.4) < 0.01
+
+
+def reference_refine_sample(base_cells, class_counts, rng):
+    """Per-(cell, class) refinement the draw stream was pinned with: one
+    ``permutation`` of each multi-class cell's ascending int64 items,
+    consecutive blocks to the classes in class order, one set per block."""
+    m = base_cells[0].m
+    nbytes = (m + 7) // 8
+
+    def bits_of(items):
+        buf = np.zeros(m, dtype=bool)
+        buf[items] = True
+        return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
+
+    acc = [0] * len(class_counts[0])
+    for cell, row in zip(base_cells, class_counts):
+        nonzero = [j for j, cnt in enumerate(row) if cnt]
+        if len(nonzero) == 1:
+            acc[nonzero[0]] |= cell.bits
+            continue
+        if not nonzero:
+            continue
+        raw = np.frombuffer(cell.bits.to_bytes(nbytes, "little"), dtype=np.uint8)
+        items = np.flatnonzero(np.unpackbits(raw, bitorder="little")[:m]).astype(np.int64)
+        perm = rng.np.permutation(items)
+        pos = 0
+        for j, cnt in enumerate(row):
+            if cnt:
+                acc[j] |= bits_of(perm[pos : pos + cnt])
+                pos += cnt
+    return [ItemSet(m, a) for a in acc]
+
+
+def random_refinement(m, gen):
+    """Cells of two random sets and count rows with one, two or three
+    non-empty classes out of four."""
+    sets = [ItemSet.from_indices(m, np.flatnonzero(gen.integers(0, 2, size=m))) for _ in range(2)]
+    cells = part_cells(m, sets)
+    rows = []
+    for cell in cells:
+        size = len(cell)
+        n_used = int(gen.integers(1, 4))
+        cuts = np.sort(gen.integers(0, size + 1, size=n_used - 1))
+        used = np.diff(np.concatenate(([0], cuts, [size]))).tolist()
+        row = [0, 0, 0, 0]
+        for j, cnt in zip(sorted(gen.choice(4, size=n_used, replace=False).tolist()), used):
+            row[j] = cnt
+        rows.append(tuple(row))
+    return cells, rows
+
+
+# Item indices fit uint8, uint16 and uint32 at these sizes.
+@pytest.mark.parametrize("m", [48, 1040, 70_000])
+def test_refine_sample_matches_reference_draw_for_draw(m):
+    for seed in range(20):
+        cells, rows = random_refinement(m, np.random.default_rng(seed))
+        got_rng, want_rng = RngStream(seed, 3), RngStream(seed, 3)
+        for _ in range(3):
+            assert refine_sample(cells, rows, got_rng) == reference_refine_sample(cells, rows, want_rng)
+        # Both consumed the same draws.
+        assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
 
 
 class TestExpectedIntersection:
