@@ -1,13 +1,14 @@
 """Desk-scale lab for two-bidder binary-XOS combinatorial auctions."""
 
 from .itemsets import ItemSet, UniverseMismatch, part_cells, part_profile
-from .rng import RngStream
+from .rng import STREAM_VERSION, RngStream
 from .sampling import (
     InvalidParameter,
     PartitionParameter,
     expected_intersection,
     pc_ally_avoidance_probability,
     pc_avoidance_probability,
+    refine_rows,
     refine_sample,
     sample_pc,
     sample_pc_ally,
@@ -28,6 +29,7 @@ from .construction import (
     reference_instance,
     sample_basis,
     sample_clause_pair,
+    sample_clause_pairs,
     sample_compatible,
     sample_instance,
     sample_special_pair,

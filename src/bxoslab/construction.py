@@ -24,7 +24,7 @@ from typing import Literal, Sequence
 
 from .itemsets import ItemSet, UniverseMismatch, part_cells, part_profile
 from .rng import RngStream
-from .sampling import refine_sample
+from .sampling import refine_rows, refine_sample
 
 Variant = Literal["nu", "nu_prime"]
 VARIANTS = ("nu", "nu_prime")
@@ -274,14 +274,21 @@ def _pair_from_joint_classes(classes: Sequence[ItemSet]) -> tuple[ItemSet, ItemS
     return (classes[0] | classes[1], classes[0] | classes[2])
 
 
-def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
-    """Uniform draw over clause pairs with respect to the basis.
+def sample_clause_pairs(base: Basis, rng: RngStream, count: int) -> list[tuple[ItemSet, ItemSet]]:
+    """``count`` independent uniform clause pairs with respect to the basis,
+    drawn as one :func:`refine_rows` batch (whose docstring gives the order).
 
-    The first component is a clause with respect to the basis, the second
-    with respect to its reversal, and their overlap profile is fixed.
+    The first component of each pair is a clause with respect to the basis,
+    the second with respect to its reversal, and their overlap profile is
+    fixed.
     """
-    classes = refine_sample(base.cells, clause_pair_cell_counts(base.m), rng)
-    return _pair_from_joint_classes(classes)
+    rows = refine_rows(base.cells, clause_pair_cell_counts(base.m), rng, count)
+    return [_pair_from_joint_classes(classes) for classes in rows]
+
+
+def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
+    """Uniform draw over clause pairs with respect to the basis."""
+    return sample_clause_pairs(base, rng, 1)[0]
 
 
 def sample_special_pair(s: Basis, t: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
@@ -431,23 +438,19 @@ def sample_instance(
     if variant == "nu":
         t = sample_compatible(s, rng)
         i_star = int(rng.np.integers(n))
-        for i in range(n):
-            if i == i_star:
-                continue
-            a1[i], a2[i] = sample_clause_pair(s, rng)
-        special = sample_special_pair(s, t, rng)
-        a1[i_star], a2[i_star] = special
+        regular = [i for i in range(n) if i != i_star]
+        for i, pair in zip(regular, sample_clause_pairs(s, rng, n - 1)):
+            a1[i], a2[i] = pair
+        a1[i_star], a2[i_star] = sample_special_pair(s, t, rng)
     else:
-        for i in range(n):
-            a1[i], a2[i] = sample_clause_pair(s, rng)
+        for i, pair in enumerate(sample_clause_pairs(s, rng, n)):
+            a1[i], a2[i] = pair
         i_star = int(rng.np.integers(n))
+        regular = [i for i in range(n) if i != i_star]
         t = sample_second_basis(s, a1[i_star], a2[i_star], rng)
 
-    trev = t.rev
-    for i in range(n):
-        if i == i_star:
-            continue
-        b2[i], b1[i] = sample_clause_pair(trev, rng)
+    for i, pair in zip(regular, sample_clause_pairs(t.rev, rng, n - 1)):
+        b2[i], b1[i] = pair
     b1[i_star] = ~a1[i_star]
     b2[i_star] = ~a2[i_star]
 

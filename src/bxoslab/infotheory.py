@@ -11,6 +11,7 @@ stays far below the 1e-9 tolerances used by the identity suite.
 from __future__ import annotations
 
 import math
+import time
 from itertools import product
 from typing import Callable, Mapping, Sequence
 
@@ -242,7 +243,10 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
     """Exercise every stated identity and inequality on random joints.
 
     Returns a report mapping each check to its case count, worst residual or
-    violation, and the list of failures (empty on success).
+    violation, the list of failures (empty on success), and the seconds spent
+    computing its residuals.  Each residual is charged the time since the
+    previous one of its trial, so drawing the random joints is charged to no
+    check.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
@@ -250,10 +254,14 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
         "entropy_bounds", "joint_entropy_subadditive", "mi_nonnegative", "independence_zero_mi", "chain_rule",
         "data_processing", "mi_expected_kl", "pinsker", "pairwise_vs_joint_bound", "index_selection",
     )
-    checks: dict[str, dict] = {name: {"cases": 0, "worst": 0.0, "failures": []} for name in names}
+    checks: dict[str, dict] = {name: {"cases": 0, "worst": 0.0, "failures": [], "seconds": 0.0} for name in names}
 
     def record(name: str, residual: float, context: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
         entry = checks[name]
+        entry["seconds"] += now - mark
+        mark = now
         entry["cases"] += 1
         entry["worst"] = max(entry["worst"], residual)
         if residual > tol:
@@ -264,6 +272,7 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
         d = random_joint(stream)
         w, x, y, z = d.variables
         label = f"trial {trial}"
+        mark = time.perf_counter()
 
         # Entropy range and subadditivity of the joint.
         supp_x = len(d.marginal((x,)).probs)
@@ -317,6 +326,7 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
     for n in (2, 3):
         for _ in range(max(3, trials // 100)):
             stream = rng.child(10_000_019 + case)
+            mark = time.perf_counter()
             p_one = 0.05 + 0.9 * float(stream.np.random())
             lhs, rhs = _index_selection_case(stream, n, p_one, y_size=2)
             record("index_selection", lhs - rhs, f"selection case {case} (n={n})")

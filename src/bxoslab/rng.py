@@ -7,12 +7,17 @@ distinct stream ids give statistically independent streams.  Parallel trials
 should each use their own child stream.
 
 The generator algorithms are those of the pinned numpy release; the stream is
-fixed per release of this package.
+fixed per release of this package.  :data:`STREAM_VERSION` names the draw
+order of the samplers: any change to which draws a seed produces bumps it,
+together with the golden digests that pin it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+# 2: clause pairs of one basis are drawn as one batch (sampling.refine_rows).
+STREAM_VERSION = 2
 
 _MASK64 = (1 << 64) - 1
 

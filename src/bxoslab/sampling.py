@@ -109,37 +109,48 @@ def sample_pc_ally(param: PartitionParameter, rng: RngStream) -> ItemSet:
     return ItemSet(m, bits)
 
 
-def refine_sample(
+# Item slots drawn in one pass of :func:`refine_rows` (rows x universe size).
+# Above this universe size every pass is one row, so large-m draws and their
+# memory are those of one refinement at a time.
+_BATCH_ITEMS = 1 << 16
+
+
+def refine_rows(
     base_cells: Sequence[ItemSet],
     class_counts: Sequence[Sequence[int]],
     rng: RngStream,
-) -> list[ItemSet]:
-    """Assign each cell's items to labeled classes with prescribed counts.
+    rows: int,
+) -> list[list[ItemSet]]:
+    """``rows`` independent refinements of the same cells.
 
     ``class_counts[i]`` gives, for cell ``i``, how many of its items land in
-    each of the ``c`` classes; the row must sum to the cell size.  Within a
-    cell the assignment is uniform over all assignments meeting the counts,
-    and cells are independent.  Returns the ``c`` class sets, which partition
-    the universe.
+    each of the ``c`` classes; each count row must sum to its cell's size.
+    Within a cell the assignment is uniform over all assignments meeting the
+    counts, and cells and refinements are independent.  Returns, per row, the ``c`` class
+    sets, which partition the universe.
 
-    Draw order, which the golden digests pin: cells are visited in order; a
-    cell whose items all land in one class draws nothing; every other cell
-    draws one uniform permutation of its items in ascending order (the draws
-    of ``rng.np.permutation``), and the classes with a non-zero count take
-    consecutive blocks of that permutation in class order.
+    Draw order, which the golden digests pin: rows are drawn in chunks of
+    ``max(1, _BATCH_ITEMS // m)``.  Within a chunk cells are visited in
+    order; a cell whose items all land in one class draws nothing; every
+    other cell draws, for each row of the chunk in turn, one uniform
+    permutation of its items in ascending order (the draws of
+    ``rng.np.permutation``), and the classes with a non-zero count take
+    consecutive blocks of that permutation in class order.  A one-row chunk
+    therefore draws exactly as one :func:`refine_sample` call.
     """
     if not base_cells:
         raise InvalidParameter("at least one cell is required")
     if len(class_counts) != len(base_cells):
         raise InvalidParameter("one count row per cell is required")
     m = base_cells[0].m
-    # Smallest dtype that holds every item index (uint32 at m = 1.6M), so the
-    # blocks held until the classes are built take half the int64 memory or
-    # less.  A shuffle's draws depend only on the length, not the dtype.
-    index_dtype = np.min_scalar_type(m - 1)
     n_classes = len(class_counts[0])
-    acc = [0] * n_classes
-    pieces: list[list[np.ndarray]] = [[] for _ in range(n_classes)]
+    if n_classes > 255:
+        raise InvalidParameter("at most 255 classes fit the uint8 labels")
+    class_ids = np.arange(n_classes, dtype=np.uint8)
+    # Whole cells that land in one class, as bits shared by every row; the
+    # shuffled cells as (cell, class label of each permutation position).
+    fixed = [0] * n_classes
+    shuffled: list[tuple[ItemSet, np.ndarray]] = []
     for cell, row in zip(base_cells, class_counts):
         if cell.m != m:
             raise UniverseMismatch("cells live over different universes")
@@ -148,25 +159,45 @@ def refine_sample(
         size = len(cell)
         if sum(row) != size:
             raise InvalidParameter(f"class counts {tuple(row)} do not sum to cell size {size}")
-        if size == 0:
-            continue
         nonzero = [j for j, cnt in enumerate(row) if cnt]
         if len(nonzero) == 1:
-            # Whole cell lands in one class; no shuffle needed.
-            acc[nonzero[0]] |= cell.bits
-            continue
-        # ``rng.np.permutation`` is a copy plus this in-place shuffle.
-        perm = cell.indices().astype(index_dtype)
-        rng.np.shuffle(perm)
-        pos = 0
-        for j in nonzero:
-            pieces[j].append(perm[pos : pos + row[j]])
-            pos += row[j]
-    for j, parts in enumerate(pieces):
-        if parts:
-            items = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            acc[j] |= ItemSet.from_numpy_indices(m, items).bits
-    return [ItemSet(m, a) for a in acc]
+            fixed[nonzero[0]] |= cell.bits
+        elif nonzero:
+            shuffled.append((cell, np.repeat(class_ids, row)))
+    nbytes = (m + 7) // 8
+    chunk = max(1, _BATCH_ITEMS // m)
+    out: list[list[ItemSet]] = []
+    for start in range(0, rows, chunk):
+        r = min(chunk, rows - start)
+        # Items of the unshuffled cells keep the label 255, which is no class.
+        labels = np.full((r, m), 255, dtype=np.uint8)
+        row_index = np.arange(r)[:, None]
+        for cell, cell_labels in shuffled:
+            labels[row_index, _permuted_rows(cell.indices(), r, rng)] = cell_labels
+        # One packbits pass gives the bitmask of every (row, class), in that order.
+        raw = np.packbits(labels[:, None, :] == class_ids[:, None], axis=2, bitorder="little").tobytes()
+        masks = [int.from_bytes(raw[k : k + nbytes], "little") for k in range(0, len(raw), nbytes)]
+        for i in range(0, len(masks), n_classes):
+            out.append([ItemSet(m, f | b) for f, b in zip(fixed, masks[i : i + n_classes])])
+    return out
+
+
+def _permuted_rows(items: np.ndarray, rows: int, rng: RngStream) -> np.ndarray:
+    # ``rows`` independent shuffles of ``items``, one per row, drawn row after
+    # row exactly as ``rng.np.shuffle`` would draw them.  One row shuffles
+    # the fresh index array in place, with no copy.
+    perm = items[None] if rows == 1 else items[None].repeat(rows, axis=0)
+    return rng.np.permuted(perm, axis=1, out=perm)
+
+
+def refine_sample(
+    base_cells: Sequence[ItemSet],
+    class_counts: Sequence[Sequence[int]],
+    rng: RngStream,
+) -> list[ItemSet]:
+    """One refinement of the cells: ``refine_rows(..., 1)[0]``, with the
+    same arguments, result and draws."""
+    return refine_rows(base_cells, class_counts, rng, 1)[0]
 
 
 def expected_intersection(d: PartitionParameter, d2: PartitionParameter) -> Fraction:

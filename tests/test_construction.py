@@ -6,6 +6,8 @@ import pytest
 from bxoslab import (
     Basis,
     ConstructionError,
+    Instance,
+    ItemSet,
     RngStream,
     constant_vectors,
     generalized_deltas,
@@ -17,6 +19,7 @@ from bxoslab import (
     reference_instance,
     sample_basis,
     sample_clause_pair,
+    sample_clause_pairs,
     sample_compatible,
     sample_instance,
     sample_special_pair,
@@ -25,6 +28,7 @@ from bxoslab import (
 from bxoslab.construction import (
     clause_pair_cell_counts,
     compatible_cell_counts,
+    sample_second_basis,
     second_basis_cell_counts,
     special_pair_cell_counts,
 )
@@ -350,6 +354,81 @@ class TestSamplerUniformity:
             counts[support[(frozenset(a1), frozenset(a2))]] += 1
         _, _, p = uniform_chi2(counts)
         assert p >= 0.001, f"uniformity over special pairs rejected: p={p}"
+
+
+class TestBatchedClausePairs:
+    """The per-bidder clause pairs of an instance are drawn as one batch."""
+
+    def test_two_row_batches_are_uniform_and_independent(self, reference):
+        from bxoslab.itemsets import part_cells
+        from bxoslab.stats import independence_chi2, uniform_chi2
+
+        s, _, _ = reference
+        cells = [set(c) for c in part_cells(16, s.sets())]
+        support = {}
+        for classes in _enumerate_by_cells(cells, clause_pair_cell_counts(16)):
+            a1 = ItemSet.from_indices(16, classes[0] | classes[1])
+            a2 = ItemSet.from_indices(16, classes[0] | classes[2])
+            support[(a1, a2)] = len(support)
+        # The enumeration is a product over the cells, so an index splits
+        # into one assignment index per cell, the last cell varying fastest.
+        per_cell = tuple(len(_assignments(sorted(c), row)) for c, row in zip(cells, clause_pair_cell_counts(16)))
+        assert per_cell == (30, 3, 6, 30) and len(support) == 16200
+        rng = RngStream(53, 0)
+        counts = [[0] * len(support) for _ in range(2)]
+        tables = [[[0] * size for _ in range(size)] for size in per_cell]
+        for _ in range(90_000):
+            first, second = (support[pair] for pair in sample_clause_pairs(s, rng, 2))
+            counts[0][first] += 1
+            counts[1][second] += 1
+            for table, size in zip(reversed(tables), reversed(per_cell)):
+                table[first % size][second % size] += 1
+                first //= size
+                second //= size
+        for row in (0, 1):
+            _, _, p = uniform_chi2(counts[row])
+            assert p >= 0.001, f"uniformity of batch row {row} over clause pairs rejected: p={p}"
+        for cell, table in enumerate(tables):
+            _, _, p = independence_chi2(table)
+            assert p >= 0.001, f"independence of the two rows in cell {cell} rejected: p={p}"
+
+    @pytest.mark.parametrize("variant", ["nu", "nu_prime"])
+    def test_above_the_batch_size_draws_pair_by_pair(self, variant):
+        # At m > 65536 every batch is one row, so an instance draws exactly
+        # as one sample_clause_pair call per pair.
+        m, n = 65_552, 3
+        got = sample_instance(m, n, variant, RngStream(8, 1), validate=False)
+        assert got == sequential_instance(m, n, variant, RngStream(8, 1))
+
+
+def sequential_instance(m, n, variant, rng):
+    """sample_instance with one sample_clause_pair call per clause pair."""
+    a1, a2, b1, b2 = ([None] * n for _ in range(4))
+    s = sample_basis(m, rng)
+    if variant == "nu":
+        t = sample_compatible(s, rng)
+        i_star = int(rng.np.integers(n))
+        for i in range(n):
+            if i != i_star:
+                a1[i], a2[i] = sample_clause_pair(s, rng)
+        a1[i_star], a2[i_star] = sample_special_pair(s, t, rng)
+    else:
+        for i in range(n):
+            a1[i], a2[i] = sample_clause_pair(s, rng)
+        i_star = int(rng.np.integers(n))
+        t = sample_second_basis(s, a1[i_star], a2[i_star], rng)
+    for i in range(n):
+        if i != i_star:
+            b2[i], b1[i] = sample_clause_pair(t.rev, rng)
+    b1[i_star], b2[i_star] = ~a1[i_star], ~a2[i_star]
+    theta = int(rng.np.integers(1, 3))
+    r_a = [int(r) for r in rng.np.integers(1, 3, size=n)]
+    r_b = [int(r) for r in rng.np.integers(1, 3, size=n)]
+    r_a[i_star] = r_b[i_star] = theta
+    return Instance(
+        m=m, n=n, variant=variant, s=s, t=t, i_star=i_star, a1=tuple(a1), a2=tuple(a2),
+        b1=tuple(b1), b2=tuple(b2), theta=theta, r_a=tuple(r_a), r_b=tuple(r_b), seed=rng.seed,
+    )
 
 
 class TestInstances:

@@ -2,17 +2,27 @@
 
 Any change to the draw stream, the drivers or the report layout changes one
 of these digests; such a change must be deliberate and update them here.
-Reports are hashed in their canonical form (per-check runtimes stripped);
-``gen`` output is hashed as written.
+The digests are keyed by the stream version they were taken at: a change to
+the draws bumps ``bxoslab.STREAM_VERSION`` and ``GOLDEN_STREAM_VERSION`` in
+the same diff.  Reports are hashed in their canonical form (per-check
+runtimes stripped); ``gen`` output is hashed as written.
 """
 
 import hashlib
 import json
 
+import numpy
 import pytest
 
+from bxoslab import STREAM_VERSION
 from bxoslab.cli import main as cli_main
 from bxoslab.lab import canonical_report_bytes
+
+GOLDEN_STREAM_VERSION = 2
+
+# Names the draw stream and the numpy release in each digest failure, so a
+# numpy upgrade is told apart from a sampler change.
+MISMATCH = f"digest moved at STREAM_VERSION={STREAM_VERSION}, numpy {numpy.__version__}"
 
 COMMON = ["--m", "160", "--seed", "7"]
 
@@ -23,7 +33,7 @@ GOLDEN = {
     ),
     "verify-nu-equivalence": (
         ["verify", "nu-equivalence", *COMMON, "--n", "8", "--trials", "200"],
-        "6adaa5bea3a482ddb3a563cd3d51d188c2d0735844175117f7772ed3a12f1a69",
+        "faa4f10adaba228135d9f7ff56b22140d61d3ebc7165f2fc1f1ba6372fa8c44c",
     ),
     "run-trivial": (
         ["run", "--protocol", "trivial", *COMMON, "--n", "8", "--trials", "20"],
@@ -35,7 +45,7 @@ GOLDEN = {
     ),
     "run-random-clause": (
         ["run", "--protocol", "random-clause", *COMMON, "--n", "8", "--trials", "20"],
-        "1421a7da90c8b6c6e838083a54be212d04ad19c8cb6d18f3c2ac655f4caf21d6",
+        "b12aa26096019434f8b53466d8dadb5ed65367def2b96d9e959be3f6a1772ad7",
     ),
     "run-vickrey-bundle": (
         ["run", "--protocol", "vickrey-bundle", *COMMON, "--n", "8", "--trials", "20"],
@@ -43,19 +53,23 @@ GOLDEN = {
     ),
 }
 
-GEN_DIGEST = "a12b897779034a8df89539ae642381d6b3084c3ee7283bcf18746eebf82df589"
+GEN_DIGEST = "114300edaae53e6fafcda65968ee5316f121e2ff8015d6b67527bc26af836a10"
+
+
+def test_digests_match_stream_version():
+    assert GOLDEN_STREAM_VERSION == STREAM_VERSION, "re-pin the golden digests for the new stream version"
 
 
 def test_gen_bytes(tmp_path):
     out = tmp_path / "instance.json"
     assert cli_main(["gen", *COMMON, "--n", "8", "--out", str(out)]) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGEST
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGEST, MISMATCH
 
 
 # Above m = 512 the sampled sets are built through the packbits path.
 GEN_DIGESTS_M1024 = {
-    "nu": "8645673be31fae179f2901af0a49a4d6e03b213c8b2b55975cdbe0f55824a625",
-    "nu_prime": "0ca393a0f24d93d7edbfabdd87a1f7204cac0fd579de78e9b3f51ec6b95c0b58",
+    "nu": "040c8de6d77fbc62f258fae2eef097704dd00da9ffdd585c271cd649133c7587",
+    "nu_prime": "fa81d660b3171f8cdfeee45368cb60a721cfaea697463ce7ba51cf871d300a4b",
 }
 
 
@@ -64,7 +78,7 @@ def test_gen_bytes_m1024(variant, tmp_path):
     out = tmp_path / "instance.json"
     argv = ["gen", "--m", "1024", "--n", "4", "--seed", "7", "--variant", variant, "--out", str(out)]
     assert cli_main(argv) == 0
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M1024[variant]
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M1024[variant], MISMATCH
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -73,7 +87,7 @@ def test_report_canonical_bytes(name, tmp_path):
     out = tmp_path / "report.json"
     assert cli_main([*argv, "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == digest
+    assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == digest, MISMATCH
 
 
 # Case and failure counts of ``verify info --trials 100 --seed 7``.  Its

@@ -1,6 +1,7 @@
 import json
 import runpy
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -187,6 +188,15 @@ class TestDrivers:
         report = verify_info(ExperimentConfig(m=16, trials=25, seed=4))
         assert report["passed"]
 
+    def test_info_runtimes_are_per_check(self):
+        t0 = time.perf_counter()
+        report = verify_info(ExperimentConfig(m=16, trials=50, seed=4))
+        wall = time.perf_counter() - t0
+        runtimes = [check["runtime_s"] for check in report["checks"]]
+        assert len(runtimes) == 10
+        assert len(set(runtimes)) > 1
+        assert sum(runtimes) <= wall
+
     def test_protocol_driver_requires_name(self):
         with pytest.raises(ConfigError):
             run_protocol_experiment(ExperimentConfig(m=160, trials=1, seed=1))
@@ -290,6 +300,14 @@ class TestCli:
     def test_instance_path_is_a_directory(self, tmp_path, capsys):
         assert cli_main(["opt", "--instance", str(tmp_path)]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_deeply_nested_instance_json(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text("[" * 200_000)
+        with pytest.raises(ConstructionError):
+            load_instance(path)
+        assert cli_main(["opt", "--instance", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_instance_with_infinite_field(self, tmp_path, capsys):
         path = tmp_path / "inst.json"

@@ -13,6 +13,7 @@ from bxoslab import (
     part_cells,
     pc_ally_avoidance_probability,
     pc_avoidance_probability,
+    refine_rows,
     refine_sample,
     sample_pc,
     sample_pc_ally,
@@ -184,6 +185,17 @@ def test_refine_sample_matches_reference_draw_for_draw(m):
             assert refine_sample(cells, rows, got_rng) == reference_refine_sample(cells, rows, want_rng)
         # Both consumed the same draws.
         assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
+
+
+def test_refine_rows_meets_the_counts_across_chunks():
+    # 48 items give chunks of 1365 rows; the last five rows fall in a second chunk.
+    m = 48
+    cells, rows = random_refinement(m, np.random.default_rng(1))
+    draws = refine_rows(cells, rows, RngStream(1, 3), (1 << 16) // m + 5)
+    assert len(draws) == (1 << 16) // m + 5
+    for classes in draws:
+        assert [tuple(len(c & cell) for c in classes) for cell in cells] == rows
+    assert len({tuple(c.bits for c in classes) for classes in draws}) > 1000
 
 
 class TestExpectedIntersection:
