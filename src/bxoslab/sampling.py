@@ -126,8 +126,8 @@ def refine_rows(
     ``class_counts[i]`` gives, for cell ``i``, how many of its items land in
     each of the ``c`` classes; each count row must sum to its cell's size.
     Within a cell the assignment is uniform over all assignments meeting the
-    counts, and cells and refinements are independent.  Returns, per row, the ``c`` class
-    sets, which partition the universe.
+    counts, and cells and refinements are independent.  Returns, per row,
+    the ``c`` class sets, which partition the universe.
 
     Draw order, which the golden digests pin: rows are drawn in chunks of
     ``max(1, _BATCH_ITEMS // m)``.  Within a chunk cells are visited in
@@ -144,13 +144,12 @@ def refine_rows(
         raise InvalidParameter("one count row per cell is required")
     m = base_cells[0].m
     n_classes = len(class_counts[0])
-    if n_classes > 255:
-        raise InvalidParameter("at most 255 classes fit the uint8 labels")
-    class_ids = np.arange(n_classes, dtype=np.uint8)
     # Whole cells that land in one class, as bits shared by every row; the
-    # shuffled cells as (cell, class label of each permutation position).
+    # shuffled cells with their count rows, side by side as the columns
+    # ``a:b`` of one index array per chunk.
     fixed = [0] * n_classes
-    shuffled: list[tuple[ItemSet, np.ndarray]] = []
+    shuffled: list[tuple[ItemSet, Sequence[int], int, int]] = []
+    total = 0
     for cell, row in zip(base_cells, class_counts):
         if cell.m != m:
             raise UniverseMismatch("cells live over different universes")
@@ -163,31 +162,36 @@ def refine_rows(
         if len(nonzero) == 1:
             fixed[nonzero[0]] |= cell.bits
         elif nonzero:
-            shuffled.append((cell, np.repeat(class_ids, row)))
+            shuffled.append((cell, row, total, total + size))
+            total += size
     nbytes = (m + 7) // 8
+    # Item x that lands in class j in row i of a chunk is item
+    # (i * n_classes + j) * width + x of one universe: every (row, class)
+    # owns a block of whole bytes, so one set build gives all of the chunk's
+    # class masks, in that order.
+    width = 8 * nbytes
     chunk = max(1, _BATCH_ITEMS // m)
     out: list[list[ItemSet]] = []
     for start in range(0, rows, chunk):
         r = min(chunk, rows - start)
-        # Items of the unshuffled cells keep the label 255, which is no class.
-        labels = np.full((r, m), 255, dtype=np.uint8)
-        row_index = np.arange(r)[:, None]
-        for cell, cell_labels in shuffled:
-            labels[row_index, _permuted_rows(cell.indices(), r, rng)] = cell_labels
-        # One packbits pass gives the bitmask of every (row, class), in that order.
-        raw = np.packbits(labels[:, None, :] == class_ids[:, None], axis=2, bitorder="little").tobytes()
+        universe = r * n_classes * width
+        # The smallest dtype (uint32 at m = 1.6M) keeps the index array at
+        # half the int64 memory or less; a shuffle's draws depend only on
+        # the length.
+        dtype = np.min_scalar_type(universe - 1)
+        class_offsets = np.arange(0, n_classes * width, width, dtype=dtype)
+        flat = np.empty((r, total), dtype=dtype)
+        for cell, row, a, b in shuffled:
+            perm = flat[:, a:b]
+            perm[:] = cell.indices()
+            rng.np.permuted(perm, axis=1, out=perm)
+            perm += np.repeat(class_offsets, row)
+        flat += np.arange(0, universe, n_classes * width, dtype=dtype)[:, None]
+        raw = ItemSet.from_numpy_indices(universe, flat.ravel()).bits.to_bytes(universe // 8, "little")
         masks = [int.from_bytes(raw[k : k + nbytes], "little") for k in range(0, len(raw), nbytes)]
         for i in range(0, len(masks), n_classes):
             out.append([ItemSet(m, f | b) for f, b in zip(fixed, masks[i : i + n_classes])])
     return out
-
-
-def _permuted_rows(items: np.ndarray, rows: int, rng: RngStream) -> np.ndarray:
-    # ``rows`` independent shuffles of ``items``, one per row, drawn row after
-    # row exactly as ``rng.np.shuffle`` would draw them.  One row shuffles
-    # the fresh index array in place, with no copy.
-    perm = items[None] if rows == 1 else items[None].repeat(rows, axis=0)
-    return rng.np.permuted(perm, axis=1, out=perm)
 
 
 def refine_sample(

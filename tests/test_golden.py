@@ -66,7 +66,7 @@ def test_gen_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGEST, MISMATCH
 
 
-# Above m = 512 the sampled sets are built through the packbits path.
+# m = 1024: batched clause pairs (up to 64 rows per refine_rows chunk).
 GEN_DIGESTS_M1024 = {
     "nu": "040c8de6d77fbc62f258fae2eef097704dd00da9ffdd585c271cd649133c7587",
     "nu_prime": "fa81d660b3171f8cdfeee45368cb60a721cfaea697463ce7ba51cf871d300a4b",
