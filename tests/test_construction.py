@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from math import factorial, isclose, sqrt
 
@@ -9,8 +10,10 @@ from bxoslab import (
     Instance,
     ItemSet,
     RngStream,
+    UniverseMismatch,
     constant_vectors,
     generalized_deltas,
+    is_clause,
     is_clause_pair,
     is_compatible,
     is_special_pair,
@@ -185,6 +188,26 @@ class TestReference:
     def test_degenerate_empty_profile(self):
         assert validate_profile(16, [], (16,))
         assert not validate_profile(16, [], ())
+
+    def test_predicates_reject_other_widths(self, reference):
+        s, t, (a1, a2) = reference
+        rng = RngStream(1, 0)
+        s32 = sample_basis(32, rng)
+        t32 = sample_compatible(s32, rng)
+        w1, w2 = ItemSet.full(32), ItemSet.empty(32)
+        calls = [
+            lambda: is_compatible(s, t32),
+            lambda: is_compatible(s32, t),
+            lambda: is_clause(w1, s),
+            lambda: is_clause_pair(w1, w2, s),
+            lambda: is_clause_pair(a1, w2, s),
+            lambda: is_special_pair(w1, w2, s, t),
+            lambda: is_special_pair(a1, w2, s, t),
+            lambda: is_special_pair(a1, a2, s, t32),
+        ]
+        for call in calls:
+            with pytest.raises(UniverseMismatch):
+                call()
 
     def test_reference_instance_validates(self):
         inst = reference_instance()
@@ -455,10 +478,47 @@ class TestInstances:
         with pytest.raises(ConstructionError):
             broken.validate()
 
+    @pytest.mark.parametrize("variant", ["nu", "nu_prime"])
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            # A basis half is half-size but has the basis profile, not a clause's.
+            (lambda inst, j: replace(inst, a1=_put(inst.a1, j, inst.s.s1)), "not a clause pair for the first bidder"),
+            # Swapped sides: each clause has the profile of the other copy.
+            (
+                lambda inst, j: replace(inst, b1=_put(inst.b1, j, inst.b2[j]), b2=_put(inst.b2, j, inst.b1[j])),
+                "not a clause pair for the second bidder",
+            ),
+            (lambda inst, j: replace(inst, t=inst.s), "first basis is not compatible with the second"),
+            (lambda inst, j: _special_at(inst, j), "special index does not hold a special pair"),
+            (
+                lambda inst, j: replace(inst, b1=_put(inst.b1, inst.i_star, inst.a1[inst.i_star])),
+                "second-bidder clauses must be complements",
+            ),
+        ],
+        ids=["first-bidder-clause", "second-bidder-pair", "incompatible", "special-moved", "not-complement"],
+    )
+    def test_validate_names_each_broken_invariant(self, variant, corrupt, message):
+        inst = sample_instance(160, 4, variant, RngStream(31, 0))
+        regular = (inst.i_star + 1) % inst.n
+        with pytest.raises(ConstructionError, match=message):
+            corrupt(inst, regular).validate()
+
     def test_nu_prime_instances_satisfy_nu_invariants(self):
         rng = RngStream(123, 0)
         inst = sample_instance(160, 4, "nu_prime", rng)
         assert is_special_pair(inst.a1[inst.i_star], inst.a2[inst.i_star], inst.s, inst.t)
+
+
+def _put(seq, i, x):
+    return seq[:i] + (x,) + seq[i + 1 :]
+
+
+def _special_at(inst, j):
+    # Claims a regular index as the special one, copy choices made consistent.
+    r_a, r_b = list(inst.r_a), list(inst.r_b)
+    r_a[j] = r_b[j] = inst.theta
+    return replace(inst, i_star=j, r_a=tuple(r_a), r_b=tuple(r_b))
 
 
 class TestGeneralizedDeltas:

@@ -90,6 +90,20 @@ def test_report_canonical_bytes(name, tmp_path):
     assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == digest, MISMATCH
 
 
+# At m = 160 the cross intersections do not yet clear their floors, so this
+# run fails (exit 1); its digest covers the exact delta table, the floors and
+# the low-event tally.
+CONCENTRATION_DIGEST = "3287071a02bfda42d17c2d7e2f5c8d397c822bdae2dcce1ad2e125d1b6be0e0d"
+
+
+def test_concentration_report_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify", "concentration", *COMMON, "--n", "8", "--trials", "20", "--out", str(out)]
+    assert cli_main(argv) == 1
+    report = json.loads(out.read_text())
+    assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == CONCENTRATION_DIGEST, MISMATCH
+
+
 # Case and failure counts of ``verify info --trials 100 --seed 7``.  Its
 # ``worst`` residuals are roundoff whose last bits follow numpy's SIMD
 # dispatch for log2, so they are pinned by rerun identity, not by digest.
