@@ -33,7 +33,6 @@ from .construction import (
     sample_compatible,
     sample_instance,
     sample_special_pair,
-    validate_profile,
 )
 from .valuations import (
     Allocation,

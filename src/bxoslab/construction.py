@@ -81,14 +81,18 @@ class Basis:
     @cached_property
     def rev(self) -> "Basis":
         rev = Basis(self.s2, self.s1)
-        # Swapping the halves swaps patterns 01 and 10, so the reversal
-        # shares this basis's cells instead of holding a second copy.
-        c = self.cells
-        rev.__dict__.update(cells=(c[0], c[2], c[1], c[3]), rev=self)
+        # The reversal shares this basis's cells instead of holding a copy.
+        rev.__dict__.update(cells=_rev_order(self.cells), rev=self)
         return rev
 
     def sets(self) -> tuple[ItemSet, ItemSet]:
         return (self.s1, self.s2)
+
+
+def _rev_order(x: Sequence) -> tuple:
+    # Per-cell entries of a basis in its reversal's cell order: swapping the
+    # halves swaps patterns 01 and 10.
+    return (x[0], x[2], x[1], x[3])
 
 
 @dataclass(frozen=True)
@@ -187,27 +191,23 @@ def compatible_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     return _check_rows("compatibility", rows, vec.basis)
 
 
+def _joint_class_rows(
+    both: Sequence[int], first: Sequence[int], second: Sequence[int], size: Sequence[int]
+) -> tuple[tuple[int, ...], ...]:
+    # Per cell: (both, first only, second only, neither) of two sets whose
+    # counts in the cell are ``first`` and ``second``, ``both`` in common.
+    return tuple((b, f - b, s - b, z - f - s + b) for b, f, s, z in zip(both, first, second, size))
+
+
 @lru_cache(maxsize=None)
 def clause_pair_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     """Per 4-cell of a basis: joint class counts (both, first only, second
     only, neither) of a clause pair, forced by the single-clause profiles of
     the two copies plus the pairwise-intersection profile."""
     vec = constant_vectors(m)
-    # The second clause's profile is stated against the reversed basis, whose
-    # cell order swaps the two middle positions.
-    reg2 = (vec.reg[0], vec.reg[2], vec.reg[1], vec.reg[3])
-    rows = []
-    for c in range(4):
-        both = vec.regpair[c]
-        rows.append(
-            (
-                both,
-                vec.reg[c] - both,
-                reg2[c] - both,
-                vec.basis[c] - vec.reg[c] - reg2[c] + both,
-            )
-        )
-    return _check_rows("clause pair", tuple(rows), vec.basis)
+    # The second clause's profile is stated against the reversed basis.
+    rows = _joint_class_rows(vec.regpair, vec.reg, _rev_order(vec.reg), vec.basis)
+    return _check_rows("clause pair", rows, vec.basis)
 
 
 @lru_cache(maxsize=None)
@@ -215,18 +215,8 @@ def special_pair_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     """Per 16-cell of a compatible basis pair: joint class counts (both,
     first only, second only, neither) of a special clause pair."""
     vec = constant_vectors(m)
-    rows = []
-    for c in range(16):
-        both = vec.specpair[c]
-        rows.append(
-            (
-                both,
-                vec.spec1[c] - both,
-                vec.spec2[c] - both,
-                vec.cmp[c] - vec.spec1[c] - vec.spec2[c] + both,
-            )
-        )
-    return _check_rows("special pair", tuple(rows), vec.cmp)
+    rows = _joint_class_rows(vec.specpair, vec.spec1, vec.spec2, vec.cmp)
+    return _check_rows("special pair", rows, vec.cmp)
 
 
 @lru_cache(maxsize=None)
@@ -293,10 +283,10 @@ def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
 
 def sample_special_pair(s: Basis, t: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
     """Uniform draw over special clause pairs for a compatible basis pair."""
-    if not is_compatible(s, t):
+    cells = _joint_cells(s, t)
+    if _profile(cells, s.m) != constant_vectors(s.m).cmp:
         raise ConstructionError("first basis is not compatible with the second")
-    cells = part_cells(s.m, (*s.sets(), *t.sets()))
-    classes = refine_sample(cells, special_pair_cell_counts(s.m), rng)
+    classes = refine_sample([ItemSet(s.m, c) for c in cells], special_pair_cell_counts(s.m), rng)
     return _pair_from_joint_classes(classes)
 
 
@@ -312,44 +302,56 @@ def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> B
     return _basis_from_pattern_classes(classes)
 
 
-def validate_profile(m: int, sets: Sequence[ItemSet], expected: Sequence[int]) -> bool:
-    """True iff the membership-pattern profile of ``sets`` equals ``expected``."""
-    return part_profile(m, sets) == tuple(expected)
+def _profile(cells: Sequence[int], m: int, *sets: ItemSet) -> tuple[int, ...]:
+    # Items of the intersection of ``sets`` (the universe if none) per cell mask.
+    mask = -1
+    for a in sets:
+        if a.m != m:
+            raise UniverseMismatch(f"set width {a.m} does not match universe {m}")
+        mask &= a.bits
+    return tuple((c & mask).bit_count() for c in cells)
+
+
+def _joint_cells(s: Basis, t: Basis) -> list[int]:
+    # The 16 cell masks of (s1, s2, t1, t2), in part_cells order.
+    if s.m != t.m:
+        raise UniverseMismatch(f"basis widths differ: {s.m} != {t.m}")
+    return [cs.bits & ct.bits for cs in s.cells for ct in t.cells]
+
+
+def _clause_pair_in(cells: Sequence[int], a1: ItemSet, a2: ItemSet, vec: ConstantVectors) -> bool:
+    # ``cells`` are a basis's four cell masks; a2 is read against the reversal.
+    return (
+        _profile(cells, vec.m, a1) == vec.reg
+        and _profile(_rev_order(cells), vec.m, a2) == vec.reg
+        and _profile(cells, vec.m, a1, a2) == vec.regpair
+    )
+
+
+def _special_pair_in(cells: Sequence[int], a1: ItemSet, a2: ItemSet, vec: ConstantVectors) -> bool:
+    # ``cells`` are the 16 joint cell masks of a basis pair.
+    return (
+        _profile(cells, vec.m, a1) == vec.spec1
+        and _profile(cells, vec.m, a2) == vec.spec2
+        and _profile(cells, vec.m, a1, a2) == vec.specpair
+    )
 
 
 def is_compatible(s: Basis, t: Basis) -> bool:
     """True iff the joint 16-cell profile matches; not symmetric in (s, t)."""
-    m = s.m
-    return validate_profile(m, (*s.sets(), *t.sets()), constant_vectors(m).cmp)
-
-
-def _profile_in_cells(base: Basis, a: ItemSet) -> tuple[int, ...]:
-    # part_profile(base.m, base.sets(), a) from the basis's cached cells.
-    if a.m != base.m:
-        raise UniverseMismatch(f"set width {a.m} does not match universe {base.m}")
-    return tuple((c.bits & a.bits).bit_count() for c in base.cells)
+    return _profile(_joint_cells(s, t), s.m) == constant_vectors(s.m).cmp
 
 
 def is_clause(a: ItemSet, base: Basis) -> bool:
-    return _profile_in_cells(base, a) == constant_vectors(base.m).reg
+    return _profile([c.bits for c in base.cells], base.m, a) == constant_vectors(base.m).reg
 
 
 def is_clause_pair(a1: ItemSet, a2: ItemSet, base: Basis) -> bool:
-    return (
-        is_clause(a1, base)
-        and is_clause(a2, base.rev)
-        and _profile_in_cells(base, a1 & a2) == constant_vectors(base.m).regpair
-    )
+    return _clause_pair_in([c.bits for c in base.cells], a1, a2, constant_vectors(base.m))
 
 
 def is_special_pair(a1: ItemSet, a2: ItemSet, s: Basis, t: Basis) -> bool:
-    vec = constant_vectors(s.m)
-    sets = (*s.sets(), *t.sets())
-    return (
-        part_profile(s.m, sets, a1) == vec.spec1
-        and part_profile(s.m, sets, a2) == vec.spec2
-        and part_profile(s.m, sets, a1 & a2) == vec.specpair
-    )
+    return _special_pair_in(_joint_cells(s, t), a1, a2, constant_vectors(s.m))
 
 
 @dataclass(frozen=True)
@@ -395,18 +397,23 @@ class Instance:
                 raise ConstructionError(f"{name} must be {self.n} values in {{1, 2}}")
         if self.r_a[self.i_star] != self.theta or self.r_b[self.i_star] != self.theta:
             raise ConstructionError("copy choice at the special index must equal theta")
-        if not is_compatible(self.s, self.t):
+        joint = _joint_cells(self.s, self.t)
+        vec = constant_vectors(self.s.m)
+        if _profile(joint, self.s.m) != vec.cmp:
             raise ConstructionError("first basis is not compatible with the second")
-        trev = self.t.rev
+        if self.s.m != self.m:
+            raise UniverseMismatch(f"bases have width {self.s.m} != {self.m}")
+        s_cells = [c.bits for c in self.s.cells]
+        trev_cells = _rev_order([c.bits for c in self.t.cells])
         for i in range(self.n):
             if i == self.i_star:
                 continue
-            if not is_clause_pair(self.a1[i], self.a2[i], self.s):
+            if not _clause_pair_in(s_cells, self.a1[i], self.a2[i], vec):
                 raise ConstructionError(f"index {i}: not a clause pair for the first bidder")
-            if not is_clause_pair(self.b2[i], self.b1[i], trev):
+            if not _clause_pair_in(trev_cells, self.b2[i], self.b1[i], vec):
                 raise ConstructionError(f"index {i}: not a clause pair for the second bidder")
         i = self.i_star
-        if not is_special_pair(self.a1[i], self.a2[i], self.s, self.t):
+        if not _special_pair_in(joint, self.a1[i], self.a2[i], vec):
             raise ConstructionError("special index does not hold a special pair")
         if self.b1[i] != ~self.a1[i] or self.b2[i] != ~self.a2[i]:
             raise ConstructionError("special-index second-bidder clauses must be complements")

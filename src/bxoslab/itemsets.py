@@ -161,10 +161,6 @@ class ItemSet:
         _check_same_universe(self, other)
         return self.bits & other.bits == 0
 
-    def issubset(self, other: "ItemSet") -> bool:
-        _check_same_universe(self, other)
-        return self.bits & ~other.bits == 0
-
     def __repr__(self) -> str:
         if self.m <= 64:
             return f"ItemSet({self.m}, {{{','.join(map(str, self))}}})"

@@ -306,9 +306,7 @@ def verify_concentration(cfg: ExperimentConfig) -> dict:
         regular_all.extend(cross.regular)
         special_all.extend(cross.special_a)
         special_all.extend(cross.special_b)
-        low_reg = any(x < reg_bar for x in cross.regular)
-        low_spec = any(x < spec_bar for x in cross.special_a + cross.special_b)
-        if low_reg or low_spec:
+        if any(cross.low_events(reg_bar, spec_bar).values()):
             event_count += 1
     runtime = time.perf_counter() - t0
 

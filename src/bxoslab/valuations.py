@@ -56,12 +56,6 @@ class BXOSValuation:
         zb = z.bits
         return max((zb & c.bits).bit_count() for c in self.clauses)
 
-    def best_clause(self, z: ItemSet) -> int:
-        """Index of the first clause attaining the value of ``z``."""
-        zb = z.bits
-        sizes = [(zb & c.bits).bit_count() for c in self.clauses]
-        return max(range(len(sizes)), key=lambda i: (sizes[i], -i))
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -235,6 +229,14 @@ class CrossIntersections:
     special_a: tuple[int, ...]
     special_b: tuple[int, ...]
 
+    def low_events(self, reg_bar: Fraction, spec_bar: Fraction) -> dict[str, bool]:
+        """Flags for the three events of an intersection below its floor."""
+        return {
+            "regular_low": any(x < reg_bar for x in self.regular),
+            "special_a_low": any(x < spec_bar for x in self.special_a),
+            "special_b_low": any(x < spec_bar for x in self.special_b),
+        }
+
 
 def cross_intersections(inst: Instance) -> CrossIntersections:
     star = inst.i_star
@@ -259,10 +261,4 @@ def cross_intersections(inst: Instance) -> CrossIntersections:
 
 def bad_events(inst: Instance, eps: float) -> dict[str, bool]:
     """Flags for the three low-intersection events that break recovery."""
-    cross = cross_intersections(inst)
-    reg_bar, spec_bar = cross_floors(inst.m, eps)
-    return {
-        "regular_low": any(x < reg_bar for x in cross.regular),
-        "special_a_low": any(x < spec_bar for x in cross.special_a),
-        "special_b_low": any(x < spec_bar for x in cross.special_b),
-    }
+    return cross_intersections(inst).low_events(*cross_floors(inst.m, eps))

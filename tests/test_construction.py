@@ -18,6 +18,7 @@ from bxoslab import (
     is_compatible,
     is_special_pair,
     optimal_block_ratio,
+    part_cells,
     part_profile,
     reference_instance,
     sample_basis,
@@ -26,9 +27,9 @@ from bxoslab import (
     sample_compatible,
     sample_instance,
     sample_special_pair,
-    validate_profile,
 )
 from bxoslab.construction import (
+    _joint_cells,
     clause_pair_cell_counts,
     compatible_cell_counts,
     sample_second_basis,
@@ -180,14 +181,13 @@ class TestReference:
         assert is_compatible(t.rev, s.rev)
         assert is_special_pair(~a2, ~a1, t.rev, s.rev)
 
-    def test_self_pair_is_not_compatible(self, reference):
-        s, _, _ = reference
-        vec = constant_vectors(16)
-        assert not validate_profile(16, (*s.sets(), *s.sets()), vec.cmp)
-
-    def test_degenerate_empty_profile(self):
-        assert validate_profile(16, [], (16,))
-        assert not validate_profile(16, [], ())
+    @pytest.mark.parametrize("m", [16, 160])
+    def test_joint_cells_match_part_cells(self, m):
+        rng = RngStream(3, 0)
+        s = sample_basis(m, rng)
+        t = sample_compatible(s, rng)
+        want = [c.bits for c in part_cells(m, (*s.sets(), *t.sets()))]
+        assert _joint_cells(s, t) == want
 
     def test_predicates_reject_other_widths(self, reference):
         s, t, (a1, a2) = reference
