@@ -141,11 +141,12 @@ def main(argv: list[str] | None = None) -> int:
         else:
             print(report_to_json(report))
         return 0 if report["passed"] else 1
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError, KeyError, MemoryError) as exc:
         # ConfigError and ConstructionError are ValueErrors; so are bad
         # payloads and out-of-range oracle requests.  OSError covers
-        # unreadable or unwritable paths.
-        print(f"error: {exc}", file=sys.stderr)
+        # unreadable or unwritable paths, MemoryError sizes too large for
+        # this machine.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

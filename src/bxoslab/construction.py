@@ -80,9 +80,12 @@ class Basis:
 
     @cached_property
     def rev(self) -> "Basis":
-        rev = Basis(self.s2, self.s1)
-        # The reversal shares this basis's cells instead of holding a copy.
-        rev.__dict__.update(cells=_rev_order(self.cells), rev=self)
+        # Swapping the halves swaps the two equal middle entries of the
+        # profile, so the reversal is a basis and is built without
+        # ``__post_init__``'s check.  It shares this basis's cells instead of
+        # holding a copy.
+        rev = object.__new__(Basis)
+        rev.__dict__.update(s1=self.s2, s2=self.s1, cells=_rev_order(self.cells), rev=self)
         return rev
 
     def sets(self) -> tuple[ItemSet, ItemSet]:

@@ -247,12 +247,13 @@ def _exact_delta_table(m: int) -> tuple[dict, bool]:
     if not is_compatible(s, t):
         raise ConstructionError("sampled second basis is not compatible with the first")
     vec = constant_vectors(m)
+    joint_cells = tuple(part_cells(m, (*s.sets(), *t.sets())))
 
     def clause_param(basis: Basis) -> PartitionParameter:
         return PartitionParameter(basis.cells, vec.reg)
 
     def special_param(profile: tuple[int, ...]) -> PartitionParameter:
-        return PartitionParameter(tuple(part_cells(m, (*s.sets(), *t.sets()))), profile)
+        return PartitionParameter(joint_cells, profile)
 
     a_side = {1: clause_param(s), 2: clause_param(s.rev)}
     b_side = {1: clause_param(t), 2: clause_param(t.rev)}

@@ -17,7 +17,9 @@ from __future__ import annotations
 import numpy as np
 
 # 2: clause pairs of one basis are drawn as one batch (sampling.refine_rows).
-STREAM_VERSION = 2
+# 3: one-row refinements (m > 32768) draw only the items outside each
+#    cell's largest class.
+STREAM_VERSION = 3
 
 _MASK64 = (1 << 64) - 1
 

@@ -7,8 +7,9 @@ constraint factorizes over cells, drawing an independent uniform
 feasible sets; the exhaustive small-universe tests in the suite validate this
 argument directly.
 
-In-cell selection is a uniform permutation truncated (or split) into blocks,
-which is exactly uniform and runs at C speed for large cells.
+In-cell selection is a uniform permutation, or at large universes a uniformly
+ordered sample of the items outside the largest class, split into blocks;
+either is exactly uniform and runs at C speed for large cells.
 """
 
 from __future__ import annotations
@@ -110,8 +111,8 @@ def sample_pc_ally(param: PartitionParameter, rng: RngStream) -> ItemSet:
 
 
 # Item slots drawn in one pass of :func:`refine_rows` (rows x universe size).
-# Above this universe size every pass is one row, so large-m draws and their
-# memory are those of one refinement at a time.
+# For every universe size above half of this each pass is one row, so
+# large-m draws and their memory are those of one refinement at a time.
 _BATCH_ITEMS = 1 << 16
 
 
@@ -130,13 +131,26 @@ def refine_rows(
     the ``c`` class sets, which partition the universe.
 
     Draw order, which the golden digests pin: rows are drawn in chunks of
-    ``max(1, _BATCH_ITEMS // m)``.  Within a chunk cells are visited in
-    order; a cell whose items all land in one class draws nothing; every
-    other cell draws, for each row of the chunk in turn, one uniform
-    permutation of its items in ascending order (the draws of
-    ``rng.np.permutation``), and the classes with a non-zero count take
-    consecutive blocks of that permutation in class order.  A one-row chunk
-    therefore draws exactly as one :func:`refine_sample` call.
+    ``max(1, _BATCH_ITEMS // m)``, one row per chunk for every
+    ``m > _BATCH_ITEMS // 2``.  Within a chunk cells are visited in order,
+    and a cell whose items all land in one class draws nothing.
+
+    Where chunks hold several rows (``m <= _BATCH_ITEMS // 2``), every other
+    cell draws, for each row of the chunk in turn, one uniform permutation
+    of its items in ascending order (the draws of ``rng.np.permutation``),
+    and the classes with a non-zero count take consecutive blocks of that
+    permutation in class order.  These chunks keep ``permuted`` rather than
+    the draw below: their cells are small (tens of items in the m = 160
+    README runs), and there one ``Generator.choice`` call costs several
+    times a shuffle.
+
+    Where every chunk is one row, every other cell of ``size`` items draws
+    only the items that leave its largest class (the first one on a tie):
+    ``rng.np.choice(size, k, replace=False)`` gives a uniformly ordered
+    sample of ``k = size - max(row)`` positions among the cell's items in
+    ascending order, the other classes take consecutive blocks of it in
+    class order, and the largest class takes the rest of the cell.  The
+    assignment is still uniform over all assignments meeting the counts.
     """
     if not base_cells:
         raise InvalidParameter("at least one cell is required")
@@ -164,20 +178,21 @@ def refine_rows(
         elif nonzero:
             shuffled.append((cell, row, total, total + size))
             total += size
+    chunk = max(1, _BATCH_ITEMS // m)
+    if chunk == 1:
+        return [_minority_row(m, fixed, shuffled, rng) for _ in range(rows)]
     nbytes = (m + 7) // 8
     # Item x that lands in class j in row i of a chunk is item
     # (i * n_classes + j) * width + x of one universe: every (row, class)
     # owns a block of whole bytes, so one set build gives all of the chunk's
     # class masks, in that order.
     width = 8 * nbytes
-    chunk = max(1, _BATCH_ITEMS // m)
     out: list[list[ItemSet]] = []
     for start in range(0, rows, chunk):
         r = min(chunk, rows - start)
         universe = r * n_classes * width
-        # The smallest dtype (uint32 at m = 1.6M) keeps the index array at
-        # half the int64 memory or less; a shuffle's draws depend only on
-        # the length.
+        # The smallest dtype keeps the index array small; a shuffle's draws
+        # depend only on the length.
         dtype = np.min_scalar_type(universe - 1)
         class_offsets = np.arange(0, n_classes * width, width, dtype=dtype)
         flat = np.empty((r, total), dtype=dtype)
@@ -192,6 +207,38 @@ def refine_rows(
         for i in range(0, len(masks), n_classes):
             out.append([ItemSet(m, f | b) for f, b in zip(fixed, masks[i : i + n_classes])])
     return out
+
+
+def _minority_row(
+    m: int,
+    fixed: Sequence[int],
+    shuffled: Sequence[tuple[ItemSet, Sequence[int], int, int]],
+    rng: RngStream,
+) -> list[ItemSet]:
+    # One row of a one-row chunk (see refine_rows): the placed items are
+    # labelled by class, one mask is packed per class, and each cell's
+    # largest class gets the cell's bits that no class took.
+    n_classes = len(fixed)
+    labels = np.full(m, n_classes, dtype=np.min_scalar_type(n_classes))
+    rest = [0] * n_classes
+    for cell, row, a, b in shuffled:
+        size = b - a
+        largest = row.index(max(row))
+        positions = rng.np.choice(size, size - row[largest], replace=False)
+        # A whole-universe cell's items are its positions; gathering them
+        # would hold another index array as large as the sample.
+        items = positions if size == m else cell.indices()[positions]
+        pos = 0
+        for j, cnt in enumerate(row):
+            if cnt and j != largest:
+                labels[items[pos : pos + cnt]] = j
+                pos += cnt
+        rest[largest] |= cell.bits
+    masks = [int.from_bytes(np.packbits(labels == j, bitorder="little").tobytes(), "little") for j in range(n_classes)]
+    placed = 0
+    for mask in masks:
+        placed |= mask
+    return [ItemSet(m, f | mask | (r & ~placed)) for f, mask, r in zip(fixed, masks, rest)]
 
 
 def refine_sample(

@@ -223,6 +223,15 @@ class TestSamplers:
             assert len(b.s1) == len(b.s2) == 80
             assert b.s1.intersection_size(b.s2) == 50  # 5m/16
 
+    @pytest.mark.parametrize("m", [16, 160])
+    def test_reversal_is_a_basis(self, m, rng):
+        for _ in range(20):
+            b = sample_basis(m, rng)
+            assert b.rev.sets() == (b.s2, b.s1)
+            assert part_profile(m, b.rev.sets()) == constant_vectors(m).basis
+            assert b.rev.cells == tuple(part_cells(m, b.rev.sets()))
+            assert b.rev.rev is b
+
     def test_basis_item_symmetry(self):
         rng = RngStream(31, 0)
         draws = 100_000
@@ -417,8 +426,8 @@ class TestBatchedClausePairs:
 
     @pytest.mark.parametrize("variant", ["nu", "nu_prime"])
     def test_above_the_batch_size_draws_pair_by_pair(self, variant):
-        # At m > 65536 every batch is one row, so an instance draws exactly
-        # as one sample_clause_pair call per pair.
+        # At every m > 32768 each batch is one row (65536 // m == 1), so an
+        # instance draws exactly as one sample_clause_pair call per pair.
         m, n = 65_552, 3
         got = sample_instance(m, n, variant, RngStream(8, 1), validate=False)
         assert got == sequential_instance(m, n, variant, RngStream(8, 1))

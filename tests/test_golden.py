@@ -18,7 +18,7 @@ from bxoslab import STREAM_VERSION
 from bxoslab.cli import main as cli_main
 from bxoslab.lab import canonical_report_bytes
 
-GOLDEN_STREAM_VERSION = 2
+GOLDEN_STREAM_VERSION = 3
 
 # Names the draw stream and the numpy release in each digest failure, so a
 # numpy upgrade is told apart from a sampler change.
@@ -79,6 +79,22 @@ def test_gen_bytes_m1024(variant, tmp_path):
     argv = ["gen", "--m", "1024", "--n", "4", "--seed", "7", "--variant", variant, "--out", str(out)]
     assert cli_main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M1024[variant], MISMATCH
+
+
+# m = 40000: one clause pair per refine_rows chunk, each cell drawing only
+# the items outside its largest class (stream version 3).
+GEN_DIGESTS_M40000 = {
+    "nu": "b061bd6ed140b15796d07f87e928caf28d37973720275962a5de5a556bcfb9e3",
+    "nu_prime": "d48a2c8b3df72837f5ae02da508553699e1c325a7c282b96072a63b8c45772a5",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(GEN_DIGESTS_M40000))
+def test_gen_bytes_m40000(variant, tmp_path):
+    out = tmp_path / "instance.json"
+    argv = ["gen", "--m", "40000", "--n", "2", "--seed", "7", "--variant", variant, "--out", str(out)]
+    assert cli_main(argv) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M40000[variant], MISMATCH
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))

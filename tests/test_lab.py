@@ -325,6 +325,14 @@ class TestCli:
         assert cli_main(["verify", "info", "--trials", "1000", "--out", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    def test_memory_error_is_unusable(self, monkeypatch, capsys):
+        def driver(cfg):
+            raise MemoryError
+
+        monkeypatch.setitem(cli._VERIFIERS, "info", driver)
+        assert cli_main(["verify", "info", "--trials", "1"]) == 2
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from bxoslab import (
     sample_pc,
     sample_pc_ally,
 )
+from bxoslab import sampling
+from bxoslab.stats import uniform_chi2
 
 
 def split_param(m, cut, counts):
@@ -157,6 +160,41 @@ def reference_refine_sample(base_cells, class_counts, rng):
     return [ItemSet(m, a) for a in acc]
 
 
+def reference_one_row_refine_sample(base_cells, class_counts, rng):
+    """One-row refinement of stream version 3: per multi-class cell, a
+    ``choice`` of size - max(row) positions among its ascending items,
+    consecutive blocks of it to the other classes in class order, and the
+    rest of the cell to the largest class (the first on a tie)."""
+    m = base_cells[0].m
+
+    def bits_of(items):
+        buf = np.zeros(m, dtype=bool)
+        buf[items] = True
+        return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
+
+    acc = [0] * len(class_counts[0])
+    for cell, row in zip(base_cells, class_counts):
+        nonzero = [j for j, cnt in enumerate(row) if cnt]
+        if len(nonzero) == 1:
+            acc[nonzero[0]] |= cell.bits
+            continue
+        if not nonzero:
+            continue
+        raw = np.frombuffer(cell.bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
+        items = np.flatnonzero(np.unpackbits(raw, bitorder="little")[:m])
+        largest = row.index(max(row))
+        sample = items[rng.np.choice(items.size, items.size - row[largest], replace=False)]
+        placed = 0
+        for j, cnt in enumerate(row):
+            if j != largest:
+                block = bits_of(sample[:cnt])
+                sample = sample[cnt:]
+                acc[j] |= block
+                placed |= block
+        acc[largest] |= cell.bits & ~placed
+    return [ItemSet(m, a) for a in acc]
+
+
 def random_refinement(m, gen):
     """Cells of two random sets and count rows with one, two or three
     non-empty classes out of four."""
@@ -175,14 +213,16 @@ def random_refinement(m, gen):
     return cells, rows
 
 
-# Item indices fit uint8, uint16 and uint32 at these sizes.
+# 48 and 1040 items draw in multi-row chunks; above m = 32768 every chunk is
+# one row.
 @pytest.mark.parametrize("m", [48, 1040, 70_000])
 def test_refine_sample_matches_reference_draw_for_draw(m):
+    reference = reference_refine_sample if m <= (1 << 16) // 2 else reference_one_row_refine_sample
     for seed in range(20):
         cells, rows = random_refinement(m, np.random.default_rng(seed))
         got_rng, want_rng = RngStream(seed, 3), RngStream(seed, 3)
         for _ in range(3):
-            assert refine_sample(cells, rows, got_rng) == reference_refine_sample(cells, rows, want_rng)
+            assert refine_sample(cells, rows, got_rng) == reference(cells, rows, want_rng)
         # Both consumed the same draws.
         assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
 
@@ -196,6 +236,53 @@ def test_refine_rows_meets_the_counts_across_chunks():
     for classes in draws:
         assert [tuple(len(c & cell) for c in classes) for cell in cells] == rows
     assert len({tuple(c.bits for c in classes) for classes in draws}) > 1000
+
+
+def refinement_support(cells, rows):
+    """Every refinement meeting the counts, as its tuple of class bitmasks,
+    mapped to an index; enumerated cell by cell over distinct label orders."""
+    per_cell = []
+    for cell, row in zip(cells, rows):
+        labels = [j for j, cnt in enumerate(row) for _ in range(cnt)]
+        per_cell.append(
+            [
+                [sum(1 << i for i, label in zip(cell, order) if label == j) for j in range(len(row))]
+                for order in set(permutations(labels))
+            ]
+        )
+    support = {}
+    for combo in product(*per_cell):
+        support[tuple(sum(masks) for masks in zip(*combo))] = len(support)
+    return support
+
+
+# A whole-universe cell, and interleaved cells beside a one-class cell; both
+# have a class with no items and a tie for the largest class.
+ONE_ROW_TOYS = {
+    "universe": ([ItemSet.full(6)], [(2, 0, 2, 2)], 90),
+    "interleaved": (
+        [ItemSet.from_indices(9, c) for c in ((1, 2, 4, 7), (0, 3, 5, 6), (8,))],
+        [(1, 1, 0, 2), (0, 2, 2, 0), (0, 0, 1, 0)],
+        72,
+    ),
+}
+
+
+@pytest.mark.parametrize("toy", sorted(ONE_ROW_TOYS))
+def test_one_row_chunks_are_uniform(toy, monkeypatch):
+    # One-row chunks normally start above m = 32768; a batch size of one
+    # item gives them at every m, so the support can be enumerated.
+    monkeypatch.setattr(sampling, "_BATCH_ITEMS", 1)
+    cells, rows, size = ONE_ROW_TOYS[toy]
+    support = refinement_support(cells, rows)
+    assert len(support) == size
+    counts = [0] * size
+    for classes in refine_rows(cells, rows, RngStream(61, 0), 150 * size):
+        key = tuple(c.bits for c in classes)
+        assert key in support, f"refinement outside the counts: {classes}"
+        counts[support[key]] += 1
+    _, _, p = uniform_chi2(counts)
+    assert p >= 0.001, f"uniformity of one-row refinements rejected: p={p}"
 
 
 class TestExpectedIntersection:
