@@ -422,9 +422,7 @@ class Instance:
             raise ConstructionError("special-index second-bidder clauses must be complements")
 
 
-def sample_instance(
-    m: int, n: int, variant: Variant, rng: RngStream, validate: bool = True
-) -> Instance:
+def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instance:
     """Draw one full instance.
 
     ``variant="nu"`` samples the compatible basis pair first and plants the
@@ -486,8 +484,7 @@ def sample_instance(
         r_b=tuple(r_b),
         seed=rng.seed,
     )
-    if validate:
-        inst.validate()
+    inst.validate()
     return inst
 
 
@@ -531,33 +528,15 @@ def generalized_deltas(u, v) -> tuple[Fraction, Fraction, Fraction]:
     return single, cross, special
 
 
-def optimal_block_ratio(tol: float = 1e-9) -> float:
-    """Numerically locate the ratio v/u maximizing min(cross, special).
-
-    Coarse grid to bracket the optimum, then golden-section refinement.
-    """
-
-    def objective(r: float) -> float:
-        cross = (5 * r + 1 + 6 * r * r + 2 * r**3) / (2 * (1 + 2 * r) ** 2 * (2 + r))
-        special = (16 * r + 5 + 6 * r * r) / (12 * (1 + 2 * r) * (2 + r))
-        return min(cross, special)
-
-    lo, hi, steps = 0.2, 10.0, 2000
-    xs = [lo + (hi - lo) * i / steps for i in range(steps + 1)]
-    best = max(range(len(xs)), key=lambda i: objective(xs[i]))
-    a = xs[max(best - 1, 0)]
-    b = xs[min(best + 1, steps)]
-    igold = (5**0.5 - 1) / 2
-    c = b - igold * (b - a)
-    d = a + igold * (b - a)
-    fc, fd = objective(c), objective(d)
-    while b - a > tol:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - igold * (b - a)
-            fc = objective(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + igold * (b - a)
-            fd = objective(d)
-    return (a + b) / 2
+def optimal_block_ratio() -> float:
+    """Numerically locate the ratio v/u maximizing min(cross, special) of
+    :func:`generalized_deltas` (bounded Brent search over [0.2, 10])."""
+    # A local import keeps scipy's load order under `import bxoslab` (via scipy.stats).
+    from scipy.optimize import minimize_scalar
+    result = minimize_scalar(
+        lambda r: -float(min(generalized_deltas(1, r)[1:])),
+        bounds=(0.2, 10.0),
+        method="bounded",
+        options={"xatol": 1e-9},
+    )
+    return float(result.x)

@@ -19,6 +19,8 @@ import numpy as np
 
 from .rng import RngStream
 
+TOLERANCE = 1e-9  # largest residual of an identity that still counts as holding
+
 _SUM_TOL = 1e-12
 
 
@@ -239,7 +241,7 @@ def _index_selection_case(
     return lhs, rhs
 
 
-def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
+def verify_identities(trials: int, rng: RngStream) -> dict:
     """Exercise every stated identity and inequality on random joints.
 
     Returns a report mapping each check to its case count, worst residual or
@@ -264,7 +266,7 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
         mark = now
         entry["cases"] += 1
         entry["worst"] = max(entry["worst"], residual)
-        if residual > tol:
+        if residual > TOLERANCE:
             entry["failures"].append({"context": context, "residual": residual})
 
     for trial in range(trials):
@@ -333,4 +335,4 @@ def verify_identities(trials: int, rng: RngStream, tol: float = 1e-9) -> dict:
             case += 1
 
     failures = sum(len(entry["failures"]) for entry in checks.values())
-    return {"trials": trials, "tolerance": tol, "checks": checks, "failures": failures, "passed": failures == 0}
+    return {"trials": trials, "tolerance": TOLERANCE, "checks": checks, "failures": failures, "passed": failures == 0}

@@ -1,10 +1,11 @@
 """Experiment drivers, instance serialization, and machine-readable reports.
 
-Each driver samples with per-trial child streams of one master seed, so a
-rerun with the same configuration reproduces the same report.  Reports embed
-the exact rational constants they test against (as "p/q" strings) next to the
-measured values; wall-clock runtimes are recorded per check but excluded from
-the canonical byte form used to compare reruns.
+Each sampling driver runs one loop, :func:`_trials`: trial k draws its
+instance from child k of one (seed, stream base) stream, so a rerun with the
+same configuration reproduces the same report.  Reports embed the exact
+rational constants they test against (as "p/q" strings) next to the measured
+values; wall-clock runtimes are recorded per check but excluded from the
+canonical byte form used to compare reruns.
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from pathlib import Path
 from statistics import mean
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,6 +75,9 @@ class ExperimentConfig:
     seed: int = 0
     variant: str = "nu"
     protocol: Optional[str] = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.m < 16 or self.m % 16 != 0:
@@ -224,7 +228,6 @@ def load_instance(path: str | Path) -> Instance:
 
 
 def generate_instance(cfg: ExperimentConfig) -> Instance:
-    cfg.validate()
     rng = RngStream(cfg.seed, _STREAM_GEN)
     return sample_instance(cfg.m, cfg.n, cfg.variant, rng)
 
@@ -232,6 +235,24 @@ def generate_instance(cfg: ExperimentConfig) -> Instance:
 # ---------------------------------------------------------------------------
 # Verification drivers.
 # ---------------------------------------------------------------------------
+
+
+def _trials(cfg: ExperimentConfig, base: int, measure: Callable[[Instance, RngStream], object]) -> tuple[list, float]:
+    """The one sampling loop: trial k draws its instance from
+    ``RngStream(cfg.seed, base).child(k)``, then ``measure(inst, stream)``
+    reads it with the stream positioned after the draw.
+
+    Returns the measurements in trial order and the seconds the loop took.
+    A measurement holds only the few values its report needs, so no instance
+    outlives its trial.
+    """
+    rng = RngStream(cfg.seed, base)
+    results = []
+    t0 = time.perf_counter()
+    for k in range(cfg.trials):
+        stream = rng.child(k)
+        results.append(measure(sample_instance(cfg.m, cfg.n, cfg.variant, stream), stream))
+    return results, time.perf_counter() - t0
 
 
 def _exact_delta_table(m: int) -> tuple[dict, bool]:
@@ -280,7 +301,6 @@ def verify_concentration(cfg: ExperimentConfig) -> dict:
     """Sample instances and compare every cross intersection against the
     exact expectations minus the eps*m slack; also tallies how often any of
     the three low-intersection events occurs."""
-    cfg.validate()
     report = new_report("concentration", cfg)
     m = cfg.m
 
@@ -296,20 +316,10 @@ def verify_concentration(cfg: ExperimentConfig) -> dict:
     )
 
     reg_bar, spec_bar = cross_floors(m, cfg.eps)
-    regular_all: list[int] = []
-    special_all: list[int] = []
-    event_count = 0
-    t0 = time.perf_counter()
-    rng = RngStream(cfg.seed, _STREAM_CONCENTRATION)
-    for trial in range(cfg.trials):
-        inst = sample_instance(m, cfg.n, cfg.variant, rng.child(trial))
-        cross = cross_intersections(inst)
-        regular_all.extend(cross.regular)
-        special_all.extend(cross.special_a)
-        special_all.extend(cross.special_b)
-        if any(cross.low_events(reg_bar, spec_bar).values()):
-            event_count += 1
-    runtime = time.perf_counter() - t0
+    crosses, runtime = _trials(cfg, _STREAM_CONCENTRATION, lambda inst, _stream: cross_intersections(inst))
+    regular_all = [x for c in crosses for x in c.regular]
+    special_all = [x for c in crosses for x in (*c.special_a, *c.special_b)]
+    event_count = sum(any(c.low_events(reg_bar, spec_bar).values()) for c in crosses)
 
     measured = {
         "instances": cfg.trials,
@@ -338,31 +348,22 @@ def verify_concentration(cfg: ExperimentConfig) -> dict:
 def verify_theta_recovery(cfg: ExperimentConfig) -> dict:
     """Check that the optimum is the full universe on every instance and that
     the special copy is read correctly off an optimal allocation."""
-    cfg.validate()
     report = new_report("theta_recovery", cfg)
     m = cfg.m
-    rng = RngStream(cfg.seed, _STREAM_THETA)
-    opt_bad = 0
-    tally = {"recovered": 0, "wrong": 0, RECOVER_NONE: 0, RECOVER_AMBIGUOUS: 0}
-    both_good_counts: list[int] = []
-    t0 = time.perf_counter()
-    for trial in range(cfg.trials):
-        inst = sample_instance(m, cfg.n, cfg.variant, rng.child(trial))
+
+    def measure(inst: Instance, _stream: RngStream) -> tuple[bool, int | str, Optional[int]]:
         va, vb, *_ = build_valuations(inst)
         _, _, value = opt_clause_pair(va, vb)
-        if value != m:
-            opt_bad += 1
-        z = oracle_allocation(va, vb).to_alice
-        guess = recover_theta(inst, z, cfg.eps)
-        if guess == inst.theta:
-            tally["recovered"] += 1
-        elif guess in (RECOVER_NONE, RECOVER_AMBIGUOUS):
-            tally[guess] += 1
-        else:
-            tally["wrong"] += 1
-        if m == 16:
-            both_good_counts.append(_count_both_good(inst, cfg.eps))
-    runtime = time.perf_counter() - t0
+        guess = recover_theta(inst, oracle_allocation(va, vb).to_alice, cfg.eps)
+        outcome = "recovered" if guess == inst.theta else guess
+        return value != m, outcome, _count_both_good(inst, cfg.eps) if m == 16 else None
+
+    results, runtime = _trials(cfg, _STREAM_THETA, measure)
+    opt_bad = sum(bad for bad, _, _ in results)
+    tally = {"recovered": 0, "wrong": 0, RECOVER_NONE: 0, RECOVER_AMBIGUOUS: 0}
+    for _, outcome, _ in results:
+        tally[outcome if outcome in tally else "wrong"] += 1  # a wrong guess is the other copy's index
+    both_good_counts = [count for _, _, count in results if count is not None]
 
     add_check(
         report,
@@ -436,19 +437,16 @@ def verify_nu_equivalence(cfg: ExperimentConfig) -> dict:
     The statistic set is a documented choice, not an exhaustive one; the
     Bonferroni correction spans all tests in this report.
     """
-    cfg.validate()
     if cfg.n < 2:
         raise ConfigError("the equivalence statistics need at least two clause indices")
     report = new_report("nu_equivalence", cfg)
-    t0 = time.perf_counter()
     samples: dict[str, list[dict]] = {}
+    runtime = 0.0
     for variant, base in (("nu", _STREAM_NU), ("nu_prime", _STREAM_NU_PRIME)):
-        rng = RngStream(cfg.seed, base)
-        samples[variant] = [
-            _instance_statistics(sample_instance(cfg.m, cfg.n, variant, rng.child(trial)))
-            for trial in range(cfg.trials)
-        ]
-    runtime = time.perf_counter() - t0
+        samples[variant], seconds = _trials(
+            replace(cfg, variant=variant), base, lambda inst, _stream: _instance_statistics(inst)
+        )
+        runtime += seconds
 
     stat_names = ("regular_cross_11", "regular_cross_12", "regular_a_overlap", "special_cross", "i_star")
     tests: list[tuple[str, float]] = []
@@ -488,7 +486,6 @@ def verify_nu_equivalence(cfg: ExperimentConfig) -> dict:
 
 def verify_info(cfg: ExperimentConfig) -> dict:
     """Run the information-measure identity suite as a report."""
-    cfg.validate()
     report = new_report("info", cfg)
     result = verify_identities(cfg.trials, RngStream(cfg.seed, 0))
     for name, entry in result["checks"].items():
@@ -506,31 +503,19 @@ def verify_info(cfg: ExperimentConfig) -> dict:
 def run_protocol_experiment(cfg: ExperimentConfig) -> dict:
     """Execute a registered protocol over sampled instances and record the
     welfare, approximation ratio, round, and communication distributions."""
-    cfg.validate()
     if cfg.protocol is None:
         raise ConfigError("a protocol name is required")
     report = new_report("protocol", cfg)
-    rng = RngStream(cfg.seed, _STREAM_PROTOCOL)
-    ratios: list[Fraction] = []
-    welfares: list[int] = []
-    rounds: list[int] = []
-    ccs: list[int] = []
     exceed_bar = recovery_threshold(cfg.m, cfg.eps) / cfg.m
-    exceed = 0
-    t0 = time.perf_counter()
-    for trial in range(cfg.trials):
-        stream = rng.child(trial)
-        inst = sample_instance(cfg.m, cfg.n, cfg.variant, stream)
-        outcome, value, ratio = run_on_instance(
-            cfg.protocol, inst, seed=int(stream.np.integers(1 << 62))
-        )
-        ratios.append(ratio)
-        welfares.append(value)
-        rounds.append(outcome.rounds)
-        ccs.append(outcome.cc_bits)
-        if ratio > exceed_bar:
-            exceed += 1
-    runtime = time.perf_counter() - t0
+
+    def measure(inst: Instance, stream: RngStream) -> tuple[Fraction, int, int, int]:
+        # The transcript (5m bits for basis-exchange) is dropped here.
+        outcome, value, ratio = run_on_instance(cfg.protocol, inst, seed=int(stream.np.integers(1 << 62)))
+        return ratio, value, outcome.rounds, outcome.cc_bits
+
+    results, runtime = _trials(cfg, _STREAM_PROTOCOL, measure)
+    ratios, welfares, rounds, ccs = zip(*results)
+    exceed = sum(ratio > exceed_bar for ratio in ratios)
     add_check(
         report,
         "protocol_outcomes",

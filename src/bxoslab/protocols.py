@@ -165,9 +165,7 @@ class TruthfulnessViolation:
     gap: Fraction
 
 
-def check_truthful(
-    protocol: Protocol, valuations: Sequence[BXOSValuation], max_rounds: int = 64
-) -> list[TruthfulnessViolation]:
+def check_truthful(protocol: Protocol, valuations: Sequence[BXOSValuation]) -> list[TruthfulnessViolation]:
     """Enumerate all profitable unilateral deviations over a finite valuation set.
 
     For every pair of true inputs and every deviation report, compares the
@@ -177,7 +175,7 @@ def check_truthful(
     """
     vs = list(valuations)
     outcomes = {
-        (i, j): execute(protocol, vs[i], vs[j], max_rounds)
+        (i, j): execute(protocol, vs[i], vs[j])
         for i in range(len(vs))
         for j in range(len(vs))
     }
@@ -202,8 +200,6 @@ def check_truthful(
 # ---------------------------------------------------------------------------
 # Baseline protocols.
 # ---------------------------------------------------------------------------
-
-PROTOCOL_NAMES = ("trivial", "basis-exchange", "random-clause", "vickrey-bundle")
 
 
 def _zero_prices(_a: Transcript, _b: Transcript) -> tuple[Fraction, Fraction]:
@@ -334,27 +330,29 @@ def random_clause_protocol(m: int, seed: int) -> Protocol:
     )
 
 
+# Registered protocols: name -> builder(instance, seed).
+_BUILDERS: dict[str, Callable[[Instance, int], Protocol]] = {
+    "trivial": lambda inst, seed: trivial_bundle_protocol(inst.m),
+    "basis-exchange": lambda inst, seed: basis_exchange_protocol(inst),
+    "random-clause": lambda inst, seed: random_clause_protocol(inst.m, seed),
+    "vickrey-bundle": lambda inst, seed: bundle_vickrey_protocol(inst.m),
+}
+PROTOCOL_NAMES = tuple(_BUILDERS)
+
+
 def build_protocol(name: str, inst: Instance, seed: int = 0) -> Protocol:
     """Instantiate a registered protocol for one instance execution."""
-    if name not in PROTOCOL_NAMES:
+    if name not in _BUILDERS:
         raise KeyError(f"unknown protocol {name!r}; known: {', '.join(PROTOCOL_NAMES)}")
-    if name == "trivial":
-        return trivial_bundle_protocol(inst.m)
-    if name == "vickrey-bundle":
-        return bundle_vickrey_protocol(inst.m)
-    if name == "basis-exchange":
-        return basis_exchange_protocol(inst)
-    return random_clause_protocol(inst.m, seed)
+    return _BUILDERS[name](inst, seed)
 
 
-def run_on_instance(
-    name: str, inst: Instance, seed: int = 0, max_rounds: int = 64
-) -> tuple[ProtocolOutcome, int, Fraction]:
+def run_on_instance(name: str, inst: Instance, seed: int = 0) -> tuple[ProtocolOutcome, int, Fraction]:
     """Execute a registered protocol on an instance's bidder inputs.
 
     Returns (outcome, welfare, ratio to the exact optimum).
     """
     va, vb, *_ = build_valuations(inst)
     protocol = build_protocol(name, inst, seed)
-    outcome = execute(protocol, va, vb, max_rounds)
+    outcome = execute(protocol, va, vb)
     return outcome, welfare(outcome, va, vb), approx_ratio(outcome, va, vb)

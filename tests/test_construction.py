@@ -429,7 +429,7 @@ class TestBatchedClausePairs:
         # At every m > 32768 each batch is one row (65536 // m == 1), so an
         # instance draws exactly as one sample_clause_pair call per pair.
         m, n = 65_552, 3
-        got = sample_instance(m, n, variant, RngStream(8, 1), validate=False)
+        got = sample_instance(m, n, variant, RngStream(8, 1))
         assert got == sequential_instance(m, n, variant, RngStream(8, 1))
 
 

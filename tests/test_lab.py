@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from bxoslab import RngStream, sample_instance
-from bxoslab import cli
+from bxoslab import cli, lab
 from bxoslab.cli import main as cli_main
 from bxoslab.construction import ConstructionError, reference_instance
 from bxoslab.lab import (
@@ -41,6 +41,10 @@ class TestConfig:
             ExperimentConfig(m=160, variant="mu").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(m=160, protocol="nope").validate()
+
+    def test_invalid_config_cannot_be_built(self):
+        with pytest.raises(ConfigError):
+            ExperimentConfig(m=100)
 
 
 class TestSerialization:
@@ -215,6 +219,42 @@ class TestDrivers:
         assert a == b
         cfg2 = ExperimentConfig(m=160, n=3, eps=0.05, trials=4, seed=22)
         assert canonical_report_bytes(verify_concentration(cfg2)) != a
+
+
+# Each sampling driver with the stream bases it draws from, in draw order;
+# a None variant means the config's own.
+REPLAY_CASES = {
+    "concentration": (verify_concentration, None, [(None, lab._STREAM_CONCENTRATION)]),
+    "theta": (verify_theta_recovery, None, [(None, lab._STREAM_THETA)]),
+    "protocol": (run_protocol_experiment, "trivial", [(None, lab._STREAM_PROTOCOL)]),
+    "nu-equivalence": (
+        verify_nu_equivalence,
+        None,
+        [("nu", lab._STREAM_NU), ("nu_prime", lab._STREAM_NU_PRIME)],
+    ),
+}
+
+
+class TestReplay:
+    @pytest.mark.parametrize("case", list(REPLAY_CASES))
+    def test_trial_k_draws_from_child_k_of_the_driver_stream(self, case, monkeypatch):
+        driver, protocol, streams = REPLAY_CASES[case]
+        real = lab.sample_instance
+        calls = []
+
+        def recorder(m, n, variant, rng):
+            calls.append((m, n, variant, rng.seed, rng.stream))
+            return real(m, n, variant, rng)
+
+        monkeypatch.setattr(lab, "sample_instance", recorder)
+        cfg = ExperimentConfig(m=32, n=3, eps=0.05, trials=3, seed=17, variant="nu_prime", protocol=protocol)
+        driver(cfg)
+        expected = []
+        for variant, base in streams:
+            for k in range(cfg.trials):
+                child = RngStream(cfg.seed, base).child(k)
+                expected.append((cfg.m, cfg.n, variant or cfg.variant, child.seed, child.stream))
+        assert calls == expected
 
 
 class TestCli:
