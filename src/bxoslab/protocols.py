@@ -86,8 +86,8 @@ class ProtocolOutcome:
 
 
 def _check_bits(msg: Message, origin: str) -> Message:
-    # int(msg, 2) alone would also take "_", a sign and surrounding spaces.
-    if not isinstance(msg, str) or msg.count("0") + msg.count("1") != len(msg):
+    # int(msg, 2) alone would also take "_", a sign, spaces and Unicode digits.
+    if not isinstance(msg, str) or not msg.isascii() or msg.encode().translate(None, b"01"):
         raise ProtocolError(f"non-binary message ({origin})")
     return msg
 

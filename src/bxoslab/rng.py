@@ -19,7 +19,8 @@ import numpy as np
 # 2: clause pairs of one basis are drawn as one batch (sampling.refine_rows).
 # 3: one-row refinements (m > 32768) draw only the items outside each
 #    cell's largest class.
-STREAM_VERSION = 3
+# 4: one-row refinements draw i.i.d. per-item labels, then fix the counts.
+STREAM_VERSION = 4
 
 _MASK64 = (1 << 64) - 1
 

@@ -7,9 +7,9 @@ constraint factorizes over cells, drawing an independent uniform
 feasible sets; the exhaustive small-universe tests in the suite validate this
 argument directly.
 
-In-cell selection is a uniform permutation, or at large universes a uniformly
-ordered sample of the items outside the largest class, split into blocks;
-either is exactly uniform and runs at C speed for large cells.
+In-cell selection is a uniform permutation, or at large universes i.i.d.
+per-item labels whose class counts a uniform fix-up then makes exact; either
+is exactly uniform and runs at C speed for large cells.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import accumulate
 from math import comb
 from typing import Sequence
 
@@ -115,6 +116,9 @@ def sample_pc_ally(param: PartitionParameter, rng: RngStream) -> ItemSet:
 # large-m draws and their memory are those of one refinement at a time.
 _BATCH_ITEMS = 1 << 16
 
+# Bits of the per-item draw of a one-row refinement (see refine_rows).
+_LABEL_BITS = 16
+
 
 def refine_rows(
     base_cells: Sequence[ItemSet],
@@ -139,18 +143,27 @@ def refine_rows(
     cell draws, for each row of the chunk in turn, one uniform permutation
     of its items in ascending order (the draws of ``rng.np.permutation``),
     and the classes with a non-zero count take consecutive blocks of that
-    permutation in class order.  These chunks keep ``permuted`` rather than
-    the draw below: their cells are small (tens of items in the m = 160
-    README runs), and there one ``Generator.choice`` call costs several
-    times a shuffle.
+    permutation in class order.  These chunks keep ``permuted``: their
+    cells are small (tens of items in the m = 160 README runs), and there
+    the draw below, with several numpy calls per cell and class, costs about
+    15 times as much per row (300 against 20 us for four 35-46-item cells).
 
     Where every chunk is one row, every other cell of ``size`` items draws
-    only the items that leave its largest class (the first one on a tie):
-    ``rng.np.choice(size, k, replace=False)`` gives a uniformly ordered
-    sample of ``k = size - max(row)`` positions among the cell's items in
-    ascending order, the other classes take consecutive blocks of it in
-    class order, and the largest class takes the rest of the cell.  The
-    assignment is still uniform over all assignments meeting the counts.
+    ``rng.np.integers(0, 1 << 16, size=size, dtype=np.uint16)``, one value
+    per item in ascending order, and labels each item by how many of the
+    thresholds ``(cum << 16) // size`` it clears, ``cum`` running over the
+    row's cumulative counts but the last.  Each class with a surplus ``d``,
+    in class order, releases ``rng.np.choice`` of ``d`` of its ascending
+    positions without replacement, and the released items take the missing
+    labels as one ``rng.np.shuffle``-d ``np.repeat`` of them in class order.
+    This is exactly uniform: (1) the first labels are i.i.d., so their law
+    does not change when the items are permuted; (2) the fix-up releases
+    items uniformly within a class and places the missing labels by a
+    uniform permutation, so it commutes with permuting the items and the
+    result is exchangeable; (3) the result always meets the counts, and the
+    permutations act transitively on assignments with fixed counts, so that
+    exchangeable law is the uniform one.  The 16-bit precision changes only
+    the size of the fix-up, never the law.
     """
     if not base_cells:
         raise InvalidParameter("at least one cell is required")
@@ -180,7 +193,7 @@ def refine_rows(
             total += size
     chunk = max(1, _BATCH_ITEMS // m)
     if chunk == 1:
-        return [_minority_row(m, fixed, shuffled, rng) for _ in range(rows)]
+        return [_exchangeable_row(m, fixed, shuffled, rng) for _ in range(rows)]
     nbytes = (m + 7) // 8
     # Item x that lands in class j in row i of a chunk is item
     # (i * n_classes + j) * width + x of one universe: every (row, class)
@@ -209,36 +222,37 @@ def refine_rows(
     return out
 
 
-def _minority_row(
+def _exchangeable_row(
     m: int,
     fixed: Sequence[int],
     shuffled: Sequence[tuple[ItemSet, Sequence[int], int, int]],
     rng: RngStream,
 ) -> list[ItemSet]:
-    # One row of a one-row chunk (see refine_rows): the placed items are
-    # labelled by class, one mask is packed per class, and each cell's
-    # largest class gets the cell's bits that no class took.
+    # One row of a one-row chunk (see refine_rows): each multi-class cell
+    # labels its items, and one mask is packed per class.
     n_classes = len(fixed)
     labels = np.full(m, n_classes, dtype=np.min_scalar_type(n_classes))
-    rest = [0] * n_classes
     for cell, row, a, b in shuffled:
         size = b - a
-        largest = row.index(max(row))
-        positions = rng.np.choice(size, size - row[largest], replace=False)
-        # A whole-universe cell's items are its positions; gathering them
-        # would hold another index array as large as the sample.
-        items = positions if size == m else cell.indices()[positions]
-        pos = 0
-        for j, cnt in enumerate(row):
-            if cnt and j != largest:
-                labels[items[pos : pos + cnt]] = j
-                pos += cnt
-        rest[largest] |= cell.bits
+        r = rng.np.integers(0, 1 << _LABEL_BITS, size=size, dtype=np.uint16)
+        lab = np.zeros(size, dtype=labels.dtype)
+        cleared = [size]
+        for cum in accumulate(row[:-1]):
+            above = r >= (cum << _LABEL_BITS) // size
+            cleared.append(np.count_nonzero(above))
+            lab += above
+        excess = [hi - lo - cnt for hi, lo, cnt in zip(cleared, cleared[1:] + [0], row)]
+        if any(excess):
+            released = [rng.np.choice(np.flatnonzero(lab == j), d, replace=False) for j, d in enumerate(excess) if d > 0]
+            fill = np.repeat(np.arange(n_classes, dtype=lab.dtype), [max(-d, 0) for d in excess])
+            rng.np.shuffle(fill)
+            lab[np.concatenate(released)] = fill
+        if size == m:
+            labels = lab
+        else:
+            labels[cell.indices()] = lab
     masks = [int.from_bytes(np.packbits(labels == j, bitorder="little").tobytes(), "little") for j in range(n_classes)]
-    placed = 0
-    for mask in masks:
-        placed |= mask
-    return [ItemSet(m, f | mask | (r & ~placed)) for f, mask, r in zip(fixed, masks, rest)]
+    return [ItemSet(m, f | mask) for f, mask in zip(fixed, masks)]
 
 
 def refine_sample(

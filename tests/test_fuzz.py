@@ -93,7 +93,9 @@ def test_decode_set_and_basis_accept_only_binary(m, msg):
         assert encode(value) == msg
 
 
-@pytest.mark.parametrize("msg", ["0_1", " 01", "01 ", "+01", "0b1"])
+# int(s, 2) also takes Unicode decimal digits ("\uff10" is a fullwidth zero,
+# "\u0661" an Arabic-Indic one); a lone surrogate cannot even be encoded.
+@pytest.mark.parametrize("msg", ["0_1", " 01", "01 ", "+01", "0b1", "\uff101", "1\u00b2", "\u0661", "\ud800"])
 def test_python_int_literal_syntax_is_rejected(msg):
     with pytest.raises(ProtocolError, match="non-binary"):
         decode_set(len(msg), msg)

@@ -18,7 +18,7 @@ from bxoslab import STREAM_VERSION
 from bxoslab.cli import main as cli_main
 from bxoslab.lab import canonical_report_bytes
 
-GOLDEN_STREAM_VERSION = 3
+GOLDEN_STREAM_VERSION = 4
 
 # Names the draw stream and the numpy release in each digest failure, so a
 # numpy upgrade is told apart from a sampler change.
@@ -81,11 +81,11 @@ def test_gen_bytes_m1024(variant, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M1024[variant], MISMATCH
 
 
-# m = 40000: one clause pair per refine_rows chunk, each cell drawing only
-# the items outside its largest class (stream version 3).
+# m = 40000: one clause pair per refine_rows chunk, each cell drawing i.i.d.
+# labels and an exact count fix-up (stream version 4).
 GEN_DIGESTS_M40000 = {
-    "nu": "b061bd6ed140b15796d07f87e928caf28d37973720275962a5de5a556bcfb9e3",
-    "nu_prime": "d48a2c8b3df72837f5ae02da508553699e1c325a7c282b96072a63b8c45772a5",
+    "nu": "18bd69afb42d359d797c3890ca265b0be93dd0e5d0ebc859ba1d6ce406f3588d",
+    "nu_prime": "340653c7c473b86a7e9cf39ce468991f5676386ae42f59d27695c5459cdce94a",
 }
 
 

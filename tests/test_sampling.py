@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -20,6 +21,7 @@ from bxoslab import (
     sample_pc_ally,
 )
 from bxoslab import sampling
+from bxoslab.construction import sample_basis
 from bxoslab.stats import uniform_chi2
 
 
@@ -161,10 +163,11 @@ def reference_refine_sample(base_cells, class_counts, rng):
 
 
 def reference_one_row_refine_sample(base_cells, class_counts, rng):
-    """One-row refinement of stream version 3: per multi-class cell, a
-    ``choice`` of size - max(row) positions among its ascending items,
-    consecutive blocks of it to the other classes in class order, and the
-    rest of the cell to the largest class (the first on a tie)."""
+    """One-row refinement of stream version 4: per multi-class cell, one
+    uint16 draw per ascending item, labelled by the thresholds
+    ``(cum << 16) // size`` it clears; then, class by class, a ``choice`` of
+    each surplus among that label's ascending positions, and one shuffled
+    multiset of the missing labels for the released items."""
     m = base_cells[0].m
 
     def bits_of(items):
@@ -172,7 +175,8 @@ def reference_one_row_refine_sample(base_cells, class_counts, rng):
         buf[items] = True
         return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
 
-    acc = [0] * len(class_counts[0])
+    n_classes = len(class_counts[0])
+    acc = [0] * n_classes
     for cell, row in zip(base_cells, class_counts):
         nonzero = [j for j, cnt in enumerate(row) if cnt]
         if len(nonzero) == 1:
@@ -182,16 +186,22 @@ def reference_one_row_refine_sample(base_cells, class_counts, rng):
             continue
         raw = np.frombuffer(cell.bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
         items = np.flatnonzero(np.unpackbits(raw, bitorder="little")[:m])
-        largest = row.index(max(row))
-        sample = items[rng.np.choice(items.size, items.size - row[largest], replace=False)]
-        placed = 0
-        for j, cnt in enumerate(row):
-            if j != largest:
-                block = bits_of(sample[:cnt])
-                sample = sample[cnt:]
-                acc[j] |= block
-                placed |= block
-        acc[largest] |= cell.bits & ~placed
+        size = items.size
+        draws = rng.np.integers(0, 1 << 16, size=size, dtype=np.uint16).astype(np.int64)
+        thresholds = (np.cumsum(row)[:-1] << 16) // size
+        labels = np.searchsorted(thresholds, draws, side="right")
+        got = np.bincount(labels, minlength=n_classes)
+        released = []
+        for j in range(n_classes):
+            if got[j] > row[j]:
+                released.extend(rng.np.choice(np.flatnonzero(labels == j), got[j] - row[j], replace=False))
+        missing = [j for j in range(n_classes) for _ in range(max(row[j] - got[j], 0))]
+        if released:
+            missing = np.array(missing, dtype=np.uint8)
+            rng.np.shuffle(missing)
+            labels[released] = missing
+        for j in range(n_classes):
+            acc[j] |= bits_of(items[labels == j])
     return [ItemSet(m, a) for a in acc]
 
 
@@ -283,6 +293,34 @@ def test_one_row_chunks_are_uniform(toy, monkeypatch):
         counts[support[key]] += 1
     _, _, p = uniform_chi2(counts)
     assert p >= 0.001, f"uniformity of one-row refinements rejected: p={p}"
+
+
+def test_one_row_fix_up_alone_is_uniform():
+    # Class 0's threshold is (1 << 16) // 70_000 = 0, so no draw labels an
+    # item 0: on every draw the fix-up alone places class 0's one item.
+    m, draws, buckets = 70_000, 1600, 16
+    cells, rows = [ItemSet.full(m)], [(1, m - 1)]
+    rng = RngStream(67, 0)
+    counts = [0] * buckets
+    for _ in range(draws):
+        classes = refine_sample(cells, rows, rng)
+        assert [len(c) for c in classes] == [1, m - 1]
+        counts[(classes[0].bits.bit_length() - 1) * buckets // m] += 1
+    _, _, p = uniform_chi2(counts)
+    assert p >= 0.001, f"position of the fixed-up item is not uniform: p={p}"
+
+
+def test_one_row_basis_draw_memory():
+    # One basis at m = 1.6M: a uint16 draw and a few item-sized arrays, not
+    # an int64 index array per cell (22.3 MiB with Generator.choice).
+    sample_basis(1_600_000, RngStream(3, 0))
+    tracemalloc.start()
+    try:
+        sample_basis(1_600_000, RngStream(3, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
 
 
 class TestExpectedIntersection:
