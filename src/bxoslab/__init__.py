@@ -11,7 +11,6 @@ from .sampling import (
     refine_rows,
     refine_sample,
     sample_pc,
-    sample_pc_ally,
 )
 from .construction import (
     Basis,

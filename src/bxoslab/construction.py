@@ -17,7 +17,7 @@ failed check raises rather than sampling from a wrong distribution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Literal, Sequence
@@ -59,24 +59,23 @@ class Basis:
 
     s1: ItemSet
     s2: ItemSet
+    # The four membership-pattern cells of (s1, s2), in pattern order: built
+    # once, by the profile check.
+    cells: tuple[ItemSet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.s1.m != self.s2.m:
             raise UniverseMismatch("basis halves live over different universes")
-        m = self.s1.m
-        expected = _scaled(_BASIS_BASE, m)
-        got = part_profile(m, (self.s1, self.s2))
+        expected = _scaled(_BASIS_BASE, self.m)
+        cells = tuple(part_cells(self.m, self.sets()))
+        got = tuple(len(c) for c in cells)
         if got != expected:
             raise ConstructionError(f"not a basis: profile {got} != {expected}")
+        object.__setattr__(self, "cells", cells)
 
     @property
     def m(self) -> int:
         return self.s1.m
-
-    @cached_property
-    def cells(self) -> tuple[ItemSet, ...]:
-        """The four membership-pattern cells of (s1, s2), in pattern order."""
-        return tuple(part_cells(self.m, self.sets()))
 
     @cached_property
     def rev(self) -> "Basis":
@@ -286,10 +285,8 @@ def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
 
 def sample_special_pair(s: Basis, t: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
     """Uniform draw over special clause pairs for a compatible basis pair."""
-    cells = _joint_cells(s, t)
-    if _profile(cells, s.m) != constant_vectors(s.m).cmp:
-        raise ConstructionError("first basis is not compatible with the second")
-    classes = refine_sample([ItemSet(s.m, c) for c in cells], special_pair_cell_counts(s.m), rng)
+    cells = [ItemSet(s.m, c) for c in _compatible_cells(s, t)]
+    classes = refine_sample(cells, special_pair_cell_counts(s.m), rng)
     return _pair_from_joint_classes(classes)
 
 
@@ -316,10 +313,19 @@ def _profile(cells: Sequence[int], m: int, *sets: ItemSet) -> tuple[int, ...]:
 
 
 def _joint_cells(s: Basis, t: Basis) -> list[int]:
-    # The 16 cell masks of (s1, s2, t1, t2), in part_cells order.
+    # The one 16-cell partition of a basis pair: the cell masks of
+    # (s1, s2, t1, t2), in part_cells order, cut from both bases' cells.
     if s.m != t.m:
         raise UniverseMismatch(f"basis widths differ: {s.m} != {t.m}")
     return [cs.bits & ct.bits for cs in s.cells for ct in t.cells]
+
+
+def _compatible_cells(s: Basis, t: Basis) -> list[int]:
+    # The 16 joint cell masks of a pair that must be compatible.
+    cells = _joint_cells(s, t)
+    if _profile(cells, s.m) != constant_vectors(s.m).cmp:
+        raise ConstructionError("first basis is not compatible with the second")
+    return cells
 
 
 def _clause_pair_in(cells: Sequence[int], a1: ItemSet, a2: ItemSet, vec: ConstantVectors) -> bool:
@@ -400,10 +406,8 @@ class Instance:
                 raise ConstructionError(f"{name} must be {self.n} values in {{1, 2}}")
         if self.r_a[self.i_star] != self.theta or self.r_b[self.i_star] != self.theta:
             raise ConstructionError("copy choice at the special index must equal theta")
-        joint = _joint_cells(self.s, self.t)
+        joint = _compatible_cells(self.s, self.t)
         vec = constant_vectors(self.s.m)
-        if _profile(joint, self.s.m) != vec.cmp:
-            raise ConstructionError("first basis is not compatible with the second")
         if self.s.m != self.m:
             raise UniverseMismatch(f"bases have width {self.s.m} != {self.m}")
         s_cells = [c.bits for c in self.s.cells]

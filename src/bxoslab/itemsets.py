@@ -121,13 +121,7 @@ class ItemSet:
         return 0 <= item < self.m and (self.bits >> item) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        bits = self.bits
-        pos = 0
-        while bits:
-            if bits & 1:
-                yield pos
-            bits >>= 1
-            pos += 1
+        return iter(self.indices().tolist())
 
     def __and__(self, other: "ItemSet") -> "ItemSet":
         _check_same_universe(self, other)

@@ -26,13 +26,13 @@ from .construction import (
     ConstructionError,
     Instance,
     VARIANTS,
+    _compatible_cells,
     constant_vectors,
-    is_compatible,
     sample_basis,
     sample_compatible,
     sample_instance,
 )
-from .itemsets import ItemSet, part_cells
+from .itemsets import ItemSet
 from .infotheory import verify_identities
 from .protocols import PROTOCOL_NAMES, run_on_instance
 from .rng import RngStream
@@ -265,10 +265,8 @@ def _exact_delta_table(m: int) -> tuple[dict, bool]:
     rng = RngStream(981, 0)
     s = sample_basis(m, rng)
     t = sample_compatible(s, rng)
-    if not is_compatible(s, t):
-        raise ConstructionError("sampled second basis is not compatible with the first")
     vec = constant_vectors(m)
-    joint_cells = tuple(part_cells(m, (*s.sets(), *t.sets())))
+    joint_cells = tuple(ItemSet(m, c) for c in _compatible_cells(s, t))
 
     def clause_param(basis: Basis) -> PartitionParameter:
         return PartitionParameter(basis.cells, vec.reg)

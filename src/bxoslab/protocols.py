@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .construction import Instance, constant_vectors
-from .itemsets import ItemSet, part_profile
+from .construction import Basis, Instance, _joint_cells, _profile, constant_vectors
+from .itemsets import ItemSet
 from .rng import _mix64
 from .valuations import Allocation, BXOSValuation, build_valuations, opt_value
 
@@ -275,11 +275,9 @@ def basis_exchange_protocol(inst: Instance) -> Protocol:
     def bidder_a(v: BXOSValuation, seen: Transcript) -> Message:
         if not seen:
             return ""
-        t1, t2 = decode_basis(m, seen[0])
-        sets = (s.s1, s.s2, t1, t2)
+        joint = _joint_cells(s, Basis(*decode_basis(m, seen[0])))
         for clause in v.clauses:
-            prof = part_profile(m, sets, clause)
-            if prof == vec.spec1 or prof == vec.spec2:
+            if _profile(joint, m, clause) in (vec.spec1, vec.spec2):
                 return encode_set(clause)
         # Unreachable on well-formed instances; concede the first clause.
         return encode_set(v.clauses[0])

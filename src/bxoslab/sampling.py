@@ -31,6 +31,23 @@ class InvalidParameter(ValueError):
     """Raised for ill-formed partition parameters or count tables."""
 
 
+def _check_count_rows(cells: Sequence[ItemSet], rows: Sequence[Sequence[int]]) -> list[int]:
+    # One row per cell, all of one length, with counts >= 0 that sum to the
+    # cell's size; returns the cell sizes.
+    if len(rows) != len(cells):
+        raise InvalidParameter("one count row per cell is required")
+    width = len(rows[0])
+    sizes = [len(c) for c in cells]
+    for size, row in zip(sizes, rows):
+        if len(row) != width:
+            raise InvalidParameter("count rows have inconsistent lengths")
+        if width and min(row) < 0:
+            raise InvalidParameter(f"class counts {tuple(row)} include a negative count")
+        if sum(row) != size:
+            raise InvalidParameter(f"class counts {tuple(row)} do not sum to cell size {size}")
+    return sizes
+
+
 @dataclass(frozen=True)
 class PartitionParameter:
     """A partition of the universe plus one prescribed count per cell."""
@@ -53,13 +70,8 @@ class PartitionParameter:
             raise InvalidParameter("cells do not cover the universe")
         if len(self.counts) != len(self.cells):
             raise InvalidParameter("one count per cell is required")
-        for c, p in zip(self.cells, self.counts):
-            if not 0 <= p <= len(c):
-                raise InvalidParameter(f"count {p} outside [0, {len(c)}]")
-
-    @property
-    def k(self) -> int:
-        return len(self.cells)
+        # 0 <= p <= |cell|: the cell splits into p chosen and |cell| - p other items.
+        _check_count_rows(self.cells, [(p, len(c) - p) for c, p in zip(self.cells, self.counts)])
 
     @property
     def m(self) -> int:
@@ -90,27 +102,6 @@ def sample_pc(param: PartitionParameter, rng: RngStream) -> ItemSet:
     return ItemSet(m, bits)
 
 
-def sample_pc_ally(param: PartitionParameter, rng: RngStream) -> ItemSet:
-    """Independent-inclusion relaxation of :func:`sample_pc`.
-
-    Each item of cell ``i`` joins with probability ``counts[i] / |cell_i|``,
-    independently of everything else.  The Bernoulli draws use exact integer
-    comparisons, no float thresholds.
-    """
-    m = param.m
-    bits = 0
-    for cell, items, count in zip(param.cells, param._cell_indices, param.counts):
-        size = items.size
-        if count == 0 or size == 0:
-            continue
-        if count == size:
-            bits |= cell.bits
-            continue
-        hits = items[rng.np.integers(0, size, size=size) < count]
-        bits |= ItemSet.from_numpy_indices(m, hits).bits
-    return ItemSet(m, bits)
-
-
 # Item slots drawn in one pass of :func:`refine_rows` (rows x universe size).
 # For every universe size above half of this each pass is one row, so
 # large-m draws and their memory are those of one refinement at a time.
@@ -129,7 +120,8 @@ def refine_rows(
     """``rows`` independent refinements of the same cells.
 
     ``class_counts[i]`` gives, for cell ``i``, how many of its items land in
-    each of the ``c`` classes; each count row must sum to its cell's size.
+    each of the ``c`` classes; each count row must be non-negative and sum
+    to its cell's size (:class:`InvalidParameter` otherwise).
     Within a cell the assignment is uniform over all assignments meeting the
     counts, and cells and refinements are independent.  Returns, per row,
     the ``c`` class sets, which partition the universe.
@@ -167,8 +159,7 @@ def refine_rows(
     """
     if not base_cells:
         raise InvalidParameter("at least one cell is required")
-    if len(class_counts) != len(base_cells):
-        raise InvalidParameter("one count row per cell is required")
+    sizes = _check_count_rows(base_cells, class_counts)
     m = base_cells[0].m
     n_classes = len(class_counts[0])
     # Whole cells that land in one class, as bits shared by every row; the
@@ -177,14 +168,9 @@ def refine_rows(
     fixed = [0] * n_classes
     shuffled: list[tuple[ItemSet, Sequence[int], int, int]] = []
     total = 0
-    for cell, row in zip(base_cells, class_counts):
+    for cell, row, size in zip(base_cells, class_counts, sizes):
         if cell.m != m:
             raise UniverseMismatch("cells live over different universes")
-        if len(row) != n_classes:
-            raise InvalidParameter("count rows have inconsistent lengths")
-        size = len(cell)
-        if sum(row) != size:
-            raise InvalidParameter(f"class counts {tuple(row)} do not sum to cell size {size}")
         nonzero = [j for j, cnt in enumerate(row) if cnt]
         if len(nonzero) == 1:
             fixed[nonzero[0]] |= cell.bits

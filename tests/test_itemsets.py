@@ -73,6 +73,15 @@ class TestItemSet:
         s = ItemSet.from_numpy_indices(1000, idx)
         assert list(s) == [0, 700, 999]
 
+    def test_iteration_matches_indices_on_a_sparse_set_at_scale(self):
+        # Iteration must be linear in m: a shift of the whole int per
+        # position is quadratic, minutes for one set at this size.
+        m = 1_600_000
+        items = [0, 7, 65_535, 999_999, m - 1]
+        s = ItemSet.from_indices(m, items)
+        assert list(s) == s.indices().tolist() == items
+        assert list(ItemSet.empty(m)) == []
+
     @pytest.mark.parametrize("m", [160, 1000])
     @pytest.mark.parametrize("n_valid", [1, 100])
     @pytest.mark.parametrize("bad", [-1, "m", "-m-1", 1 << 40])

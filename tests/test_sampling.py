@@ -5,6 +5,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.stats import hypergeom
 
 from bxoslab import (
     InvalidParameter,
@@ -18,11 +19,10 @@ from bxoslab import (
     refine_rows,
     refine_sample,
     sample_pc,
-    sample_pc_ally,
 )
 from bxoslab import sampling
-from bxoslab.construction import sample_basis
-from bxoslab.stats import uniform_chi2
+from bxoslab.construction import sample_basis, sample_clause_pairs
+from bxoslab.stats import chi2_sf, uniform_chi2
 
 
 def split_param(m, cut, counts):
@@ -46,6 +46,10 @@ class TestPartitionParameter:
     def test_rejects_count_above_cell_size(self):
         with pytest.raises(InvalidParameter):
             PartitionParameter((ItemSet.full(8),), (9,))
+
+    def test_rejects_negative_count(self):
+        with pytest.raises(InvalidParameter, match="negative"):
+            PartitionParameter((ItemSet.full(8),), (-1,))
 
 
 class TestSamplePC:
@@ -78,19 +82,6 @@ class TestSamplePC:
             assert abs(h / draws - 0.5) < 0.01
 
 
-class TestSamplePCAlly:
-    def test_full_and_zero_counts(self, rng):
-        assert sample_pc_ally(split_param(16, 6, (6, 10)), rng) == ItemSet.full(16)
-        assert sample_pc_ally(split_param(16, 6, (0, 0)), rng) == ItemSet.empty(16)
-
-    def test_mean_cardinality(self):
-        p = PartitionParameter((ItemSet.full(16),), (8,))
-        rng = RngStream(6, 0)
-        draws = 100_000
-        total = sum(len(sample_pc_ally(p, rng)) for _ in range(draws))
-        assert abs(total / draws - 8.0) < 0.05
-
-
 class TestRefineSample:
     def test_single_class_takes_whole_cell(self, rng):
         cell = ItemSet.full(12)
@@ -115,6 +106,16 @@ class TestRefineSample:
     def test_count_mismatch_raises(self, rng):
         with pytest.raises(InvalidParameter):
             refine_sample([ItemSet.full(8)], [(3, 3)], rng)
+
+    # m = 16 draws in multi-row chunks and m = 40000 one row at a time; each
+    # row sums to its cell's size, so only the sign check rejects it.
+    @pytest.mark.parametrize("m", [16, 40_000])
+    def test_negative_class_count_raises(self, m, rng):
+        half = m // 2
+        with pytest.raises(InvalidParameter, match="negative"):
+            refine_sample([ItemSet.full(m)], [(half + 3, -3, half)], rng)
+        with pytest.raises(InvalidParameter, match="negative"):
+            refine_rows([ItemSet.full(m)], [(-1, m + 1)], rng, 2)
 
     def test_class_membership_frequency(self):
         # Cell of 5, classes (2, 2, 1): each item lands in class 0 with
@@ -308,6 +309,61 @@ def test_one_row_fix_up_alone_is_uniform():
         counts[(classes[0].bits.bit_length() - 1) * buckets // m] += 1
     _, _, p = uniform_chi2(counts)
     assert p >= 0.001, f"position of the fixed-up item is not uniform: p={p}"
+
+
+def exact_law_p_value(values, pmf):
+    """Chi-square p-value of observed values against an exact pmf over
+    0, 1, .., with adjacent bins pooled until each expects at least 5."""
+    observed = np.bincount(values, minlength=len(pmf))
+    expected = len(values) * np.asarray(pmf)
+    bins = []
+    acc_o = acc_e = 0.0
+    for o, e in zip(observed, expected):
+        acc_o += o
+        acc_e += e
+        if acc_e >= 5:
+            bins.append([acc_o, acc_e])
+            acc_o = acc_e = 0.0
+    bins[-1][0] += acc_o
+    bins[-1][1] += acc_e
+    stat = sum((o - e) ** 2 / e for o, e in bins)
+    return chi2_sf(stat, len(bins) - 1)
+
+
+def one_row_block_counts(law, draws):
+    """Per fixed block, how many items of one class or cell fell in it on
+    each of ``draws`` one-row draws at m = 40000, with the exact
+    hypergeometric (population, successes, block size) of that count."""
+    m = 40_000
+    assert sampling._BATCH_ITEMS // m == 1  # every chunk is one row, without a monkeypatch
+    rng = RngStream(83, 0)
+    if law == "basis":
+        # Cell 01 of a basis: 7500 of the universe's 40000 items.
+        blocks = {"prefix": range(m // 8), "strided": range(0, m, 8)}
+        sets = [sample_basis(m, rng).cells[1] for _ in range(draws)]
+        hyper = (m, 7500, m // 8)
+    else:
+        # Clause 1 of a pair takes 2500 of the 7500 items of the basis's cell 01.
+        base = sample_basis(m, rng)
+        items = base.cells[1].indices().tolist()
+        size = len(items) // 8
+        blocks = {"prefix": items[:size], "suffix": items[-size:], "strided": items[::8][:size]}
+        sets = [a1 for a1, _ in sample_clause_pairs(base, rng, draws)]
+        hyper = (len(items), 2500, size)
+    masks = {name: ItemSet.from_indices(m, block).bits for name, block in blocks.items()}
+    return {name: [(x.bits & mask).bit_count() for x in sets] for name, mask in masks.items()}, hyper
+
+
+@pytest.mark.parametrize("law", ["basis", "clause-pair"])
+def test_one_row_draws_follow_the_exact_law_at_native_size(law):
+    # In a uniform refinement, the count of a class inside any fixed block of
+    # a cell is hypergeometric; prefix, suffix and strided blocks catch a
+    # fix-up that favours early, late or periodic positions.
+    counts, (population, successes, size) = one_row_block_counts(law, 2000)
+    pmf = hypergeom(population, successes, size).pmf(np.arange(size + 1))
+    for name, values in counts.items():
+        p = exact_law_p_value(values, pmf)
+        assert p >= 0.001 / len(counts), f"{law} {name} block: p={p}"
 
 
 def test_one_row_basis_draw_memory():
