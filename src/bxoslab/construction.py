@@ -535,7 +535,7 @@ def generalized_deltas(u, v) -> tuple[Fraction, Fraction, Fraction]:
 def optimal_block_ratio() -> float:
     """Numerically locate the ratio v/u maximizing min(cross, special) of
     :func:`generalized_deltas` (bounded Brent search over [0.2, 10])."""
-    # A local import keeps scipy's load order under `import bxoslab` (via scipy.stats).
+    # scipy.optimize costs about 0.6 s to load; no verb calls this, so `import bxoslab` skips it.
     from scipy.optimize import minimize_scalar
     result = minimize_scalar(
         lambda r: -float(min(generalized_deltas(1, r)[1:])),

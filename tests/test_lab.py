@@ -2,6 +2,7 @@ import json
 import runpy
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,14 @@ class TestConfig:
     def test_invalid_config_cannot_be_built(self):
         with pytest.raises(ConfigError):
             ExperimentConfig(m=100)
+
+    def test_size_budget_bounds_m_times_n(self):
+        ExperimentConfig(m=1_600_000, n=4)
+        ExperimentConfig(m=lab.MAX_ITEMS // 16, n=16)
+        with pytest.raises(ConfigError, match="budget"):
+            ExperimentConfig(m=lab.MAX_ITEMS // 16, n=17)
+        with pytest.raises(ConfigError, match="budget"):
+            ExperimentConfig(m=16, n=lab.MAX_ITEMS)
 
 
 class TestSerialization:
@@ -294,6 +303,17 @@ class TestCli:
     def test_bad_config_is_usage_error(self, capsys):
         assert cli_main(["verify", "concentration", "--m", "100"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_out_of_budget_size_fails_before_allocating(self, capsys):
+        tracemalloc.start()
+        try:
+            code = cli_main(["verify", "concentration", "--m", str(2**40), "--n", "4"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: m * n = 4398046511104 exceeds the budget")
+        assert peak < 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
 
     def test_verify_nu_equivalence_smoke(self, tmp_path):
         out = tmp_path / "report.json"
