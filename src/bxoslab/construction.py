@@ -10,9 +10,9 @@ the universe size.
 
 Every profile vector that is not hard-coded below (the clause-pair joint
 profile and the 64-cell full profile) is computed from an embedded 16-item
-reference configuration rather than typed in, and the derived per-cell count
-tables used by the samplers are re-checked for consistency on first use; a
-failed check raises rather than sampling from a wrong distribution.
+reference configuration rather than typed in, after the hard-coded vectors
+are re-derived from it; a mismatch raises.  The samplers' per-cell count
+tables are read off those two joint profiles.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ _REF_A2 = (0, 3, 4, 6, 10, 11, 12, 13)
 
 
 class ConstructionError(ValueError):
-    """Raised when a profile constraint or derived count table is violated."""
+    """Raised when a profile constraint is violated."""
 
 
 @dataclass(frozen=True)
@@ -173,75 +173,47 @@ def constant_vectors(m: int) -> ConstantVectors:
     )
 
 
-def _check_rows(
-    name: str, rows: tuple[tuple[int, ...], ...], row_sums: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    for row, want in zip(rows, row_sums):
-        if any(v < 0 for v in row):
-            raise ConstructionError(f"derived {name} table has a negative count: {row}")
-        if sum(row) != want:
-            raise ConstructionError(f"derived {name} row {row} does not sum to cell size {want}")
-    return rows
+def _blocks(profile: Sequence[int], reverse: bool = False) -> tuple[tuple[int, ...], ...]:
+    # Rows of 4 counts, one per cell of the leading indicators, over the last
+    # two indicators in pattern order (00, 01, 10, 11); ``reverse`` gives the
+    # pair samplers' class order (both, first only, second only, neither).
+    step = -1 if reverse else 1
+    return tuple(tuple(profile[i : i + 4][::step]) for i in range(0, len(profile), 4))
 
 
 @lru_cache(maxsize=None)
 def compatible_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     """Per 4-cell of a basis: how its items split over the second basis's
     four membership patterns (00, 01, 10, 11), read off the 16-cell vector."""
-    vec = constant_vectors(m)
-    rows = tuple(tuple(vec.cmp[4 * s + t] for t in range(4)) for s in range(4))
-    return _check_rows("compatibility", rows, vec.basis)
-
-
-def _joint_class_rows(
-    both: Sequence[int], first: Sequence[int], second: Sequence[int], size: Sequence[int]
-) -> tuple[tuple[int, ...], ...]:
-    # Per cell: (both, first only, second only, neither) of two sets whose
-    # counts in the cell are ``first`` and ``second``, ``both`` in common.
-    return tuple((b, f - b, s - b, z - f - s + b) for b, f, s, z in zip(both, first, second, size))
+    return _blocks(constant_vectors(m).cmp)
 
 
 @lru_cache(maxsize=None)
 def clause_pair_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     """Per 4-cell of a basis: joint class counts (both, first only, second
-    only, neither) of a clause pair, forced by the single-clause profiles of
-    the two copies plus the pairwise-intersection profile."""
-    vec = constant_vectors(m)
-    # The second clause's profile is stated against the reversed basis.
-    rows = _joint_class_rows(vec.regpair, vec.reg, _rev_order(vec.reg), vec.basis)
-    return _check_rows("clause pair", rows, vec.basis)
+    only, neither) of a clause pair, read off the (s1, s2, a1, a2) profile."""
+    return _blocks(constant_vectors(m).pair_profile, reverse=True)
 
 
 @lru_cache(maxsize=None)
 def special_pair_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     """Per 16-cell of a compatible basis pair: joint class counts (both,
-    first only, second only, neither) of a special clause pair."""
-    vec = constant_vectors(m)
-    rows = _joint_class_rows(vec.specpair, vec.spec1, vec.spec2, vec.cmp)
-    return _check_rows("special pair", rows, vec.cmp)
+    first only, second only, neither) of a special clause pair, read off the
+    64-cell full profile."""
+    return _blocks(constant_vectors(m).opt_profile, reverse=True)
 
 
 @lru_cache(maxsize=None)
 def second_basis_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     """Per 16-cell of (basis, clause pair): the second basis's membership
-    pattern counts, obtained by marginalizing the 64-cell full profile.
+    pattern counts, read off the 64-cell full profile.
 
     Index convention: the 64-cell profile orders indicators as
-    (s1, s2, t1, t2, a1, a2) with s1 most significant.
+    (s1, s2, t1, t2, a1, a2) with s1 most significant; it is regrouped to
+    (s1, s2, a1, a2, t1, t2) here.
     """
-    vec = constant_vectors(m)
-    rows = []
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            for a1 in (0, 1):
-                for a2 in (0, 1):
-                    row = tuple(
-                        vec.opt_profile[32 * s1 + 16 * s2 + 8 * t1 + 4 * t2 + 2 * a1 + a2]
-                        for t1 in (0, 1)
-                        for t2 in (0, 1)
-                    )
-                    rows.append(row)
-    return _check_rows("second basis", tuple(rows), vec.pair_profile)
+    opt = constant_vectors(m).opt_profile
+    return _blocks([opt[16 * s + 4 * t + a] for s in range(4) for a in range(4) for t in range(4)])
 
 
 def _basis_from_pattern_classes(classes: Sequence[ItemSet]) -> Basis:
@@ -439,7 +411,7 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
         raise ConstructionError("at least one clause index is required")
     if variant not in VARIANTS:
         raise ConstructionError(f"unknown variant {variant!r}")
-    constant_vectors(m)  # validates m and the derived tables up front
+    constant_vectors(m)  # validates m up front
 
     a1: list = [None] * n
     a2: list = [None] * n

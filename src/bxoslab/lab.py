@@ -96,6 +96,8 @@ class ExperimentConfig:
             raise ConfigError(f"eps must lie in (0, 1/4), got {self.eps}")
         if self.trials < 1:
             raise ConfigError("trials must be at least 1")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must lie in [0, 2**64), got {self.seed}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.protocol is not None and self.protocol not in PROTOCOL_NAMES:

@@ -132,6 +132,34 @@ class TestDerivedCellCounts:
                     assert all(v >= 0 for v in row)
                     assert sum(row) == want
 
+    @pytest.mark.parametrize("m", [16, 160])
+    def test_tables_match_the_stated_vectors(self, m):
+        # The tables are read off the joint profiles; rebuild them from the
+        # paper's marginal vectors instead.  Per cell, two sets with counts
+        # ``f`` and ``s`` and ``b`` in common split its ``z`` items as
+        # (both, first only, second only, neither).
+        vec = constant_vectors(m)
+
+        def joint_class_rows(both, first, second, size):
+            return tuple((b, f - b, s - b, z - f - s + b) for b, f, s, z in zip(both, first, second, size))
+
+        reg = vec.reg
+        rev_reg = (reg[0], reg[2], reg[1], reg[3])  # the second clause is read against the reversed basis
+        assert clause_pair_cell_counts(m) == joint_class_rows(vec.regpair, reg, rev_reg, vec.basis)
+        assert special_pair_cell_counts(m) == joint_class_rows(vec.specpair, vec.spec1, vec.spec2, vec.cmp)
+        assert compatible_cell_counts(m) == tuple(tuple(vec.cmp[4 * s + t] for t in range(4)) for s in range(4))
+        second = []
+        for s1 in (0, 1):
+            for s2 in (0, 1):
+                for a1 in (0, 1):
+                    for a2 in (0, 1):
+                        second.append(tuple(
+                            vec.opt_profile[32 * s1 + 16 * s2 + 8 * t1 + 4 * t2 + 2 * a1 + a2]
+                            for t1 in (0, 1)
+                            for t2 in (0, 1)
+                        ))
+        assert second_basis_cell_counts(m) == tuple(second)
+
 
 def support_size(table):
     """Number of joint configurations: product of per-cell multinomials."""

@@ -1,4 +1,5 @@
-"""Golden digests of the canonical bytes of fast README CLI lines.
+"""Golden digests of the canonical bytes of fast README CLI lines and of
+the benchmark's large-m lines.
 
 Any change to the draw stream, the drivers or the report layout changes one
 of these digests; such a change must be deliberate and update them here.
@@ -16,7 +17,13 @@ import pytest
 
 from bxoslab import STREAM_VERSION
 from bxoslab.cli import main as cli_main
-from bxoslab.lab import canonical_report_bytes
+from bxoslab.lab import (
+    ExperimentConfig,
+    canonical_report_bytes,
+    run_protocol_experiment,
+    verify_concentration,
+    verify_theta_recovery,
+)
 
 GOLDEN_STREAM_VERSION = 4
 
@@ -118,6 +125,36 @@ def test_concentration_report_bytes(tmp_path):
     assert cli_main(argv) == 1
     report = json.loads(out.read_text())
     assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == CONCENTRATION_DIGEST, MISMATCH
+
+
+# The three large-m lines of the benchmark at m = 1.6M, n = 4, one trial,
+# seed 5: one-row draws for every sampler, 8M-bit protocol messages.
+LARGE = {"m": 1_600_000, "n": 4, "trials": 1, "seed": 5}
+GOLDEN_LARGE_M = {
+    "verify-concentration": (
+        verify_concentration,
+        {"eps": 0.002},
+        "4192d8f4f90e87966316db2aae027287f7681f2fa454f9c05f853d412ec6ae0a",
+    ),
+    "verify-theta-nu-prime": (
+        verify_theta_recovery,
+        {"variant": "nu_prime"},
+        "1ec602481ecac9bcf8fab29cdd3e33bb57d3ff6ad8e9ca07fc98918a1f4c9699",
+    ),
+    "run-basis-exchange": (
+        run_protocol_experiment,
+        {"protocol": "basis-exchange"},
+        "60e0988e0ab3792148ebfb943cff1b857c25f8e745afef4d1d2cc726540425f0",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_LARGE_M))
+def test_large_m_report_bytes(name):
+    driver, options, digest = GOLDEN_LARGE_M[name]
+    report = driver(ExperimentConfig(**LARGE, **options))
+    assert report["passed"]
+    assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == digest, MISMATCH
 
 
 # Case and failure counts of ``verify info --trials 100 --seed 7``.  Its

@@ -346,6 +346,26 @@ class TestCli:
         assert cli_main(["gen", "--m", "16", "--n", "2"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_is_usage_error(self, seed, tmp_path, monkeypatch, capsys):
+        # RngStream keys on the seed's low 64 bits, so -1 and 2**64 would
+        # replay the instances of 2**64 - 1 and 0 under another name.
+        out = tmp_path / "inst.json"
+        assert cli_main(["gen", "--m", "16", "--n", "2", "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: seed must lie in [0, 2**64), got {seed}")
+        monkeypatch.setenv("BXOSLAB_SEED", str(seed))
+        assert cli_main(["gen", "--m", "16", "--n", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must lie")
+        assert not out.exists()
+
+    def test_largest_seed_runs(self, tmp_path, monkeypatch):
+        top = 2**64 - 1
+        out = tmp_path / "inst.json"
+        assert cli_main(["gen", "--m", "16", "--n", "2", "--seed", str(top), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["seed"] == top
+        monkeypatch.setenv("BXOSLAB_SEED", str(top))
+        assert cli_main(["gen", "--m", "16", "--n", "2"]) == 0
+
     def test_out_path_does_not_change_canonical_bytes(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]
         for path in paths:

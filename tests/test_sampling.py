@@ -21,7 +21,16 @@ from bxoslab import (
     sample_pc,
 )
 from bxoslab import sampling
-from bxoslab.construction import sample_basis, sample_clause_pairs
+from bxoslab.construction import (
+    _joint_cells,
+    clause_pair_cell_counts,
+    compatible_cell_counts,
+    sample_basis,
+    sample_clause_pairs,
+    sample_compatible,
+    sample_special_pair,
+    special_pair_cell_counts,
+)
 from bxoslab.stats import chi2_sf, uniform_chi2
 
 
@@ -343,18 +352,36 @@ def one_row_block_counts(law, draws):
         sets = [sample_basis(m, rng).cells[1] for _ in range(draws)]
         hyper = (m, 7500, m // 8)
     else:
-        # Clause 1 of a pair takes 2500 of the 7500 items of the basis's cell 01.
         base = sample_basis(m, rng)
-        items = base.cells[1].indices().tolist()
+        if law == "clause-pair":
+            # Clause 1 of a pair holds classes (both, first only) of the
+            # basis's cell 01: 2500 of its 7500 items.
+            row = clause_pair_cell_counts(m)[1]
+            cell, successes = base.cells[1], row[0] + row[1]
+            sets = [a1 for a1, _ in sample_clause_pairs(base, rng, draws)]
+        elif law == "compatible":
+            # Items of the basis's cell 01 that the second basis puts in its
+            # own cell 01: class 01 of that cell's table row.
+            row = compatible_cell_counts(m)[1]
+            cell, successes = base.cells[1], row[1]
+            sets = [sample_compatible(base, rng).cells[1] for _ in range(draws)]
+        else:
+            # The first clause of a special pair holds classes (both, first
+            # only) of joint cell 0000.
+            t = sample_compatible(base, rng)
+            row = special_pair_cell_counts(m)[0]
+            cell, successes = ItemSet(m, _joint_cells(base, t)[0]), row[0] + row[1]
+            sets = [sample_special_pair(base, t, rng)[0] for _ in range(draws)]
+        assert sum(1 for v in row if v) >= 2, row  # the cell is shuffled, not fixed
+        items = cell.indices().tolist()
         size = len(items) // 8
         blocks = {"prefix": items[:size], "suffix": items[-size:], "strided": items[::8][:size]}
-        sets = [a1 for a1, _ in sample_clause_pairs(base, rng, draws)]
-        hyper = (len(items), 2500, size)
+        hyper = (len(items), successes, size)
     masks = {name: ItemSet.from_indices(m, block).bits for name, block in blocks.items()}
     return {name: [(x.bits & mask).bit_count() for x in sets] for name, mask in masks.items()}, hyper
 
 
-@pytest.mark.parametrize("law", ["basis", "clause-pair"])
+@pytest.mark.parametrize("law", ["basis", "clause-pair", "compatible", "special-pair"])
 def test_one_row_draws_follow_the_exact_law_at_native_size(law):
     # In a uniform refinement, the count of a class inside any fixed block of
     # a cell is hypergeometric; prefix, suffix and strided blocks catch a
