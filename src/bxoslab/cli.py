@@ -125,11 +125,8 @@ def main(argv: list[str] | None = None) -> int:
             result = {"opt": value, "alice_clause": i, "bob_clause": j}
             if args.bruteforce:
                 result["opt_bruteforce"] = opt_bruteforce(va, vb)
-                if result["opt_bruteforce"] != value:
-                    print(json.dumps(result, indent=2))
-                    return 1
             print(json.dumps(result, indent=2))
-            return 0
+            return 0 if result.get("opt_bruteforce", value) == value else 1
 
         if args.command == "verify":
             report = _VERIFIERS[args.what](_config(args))

@@ -413,30 +413,21 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
         raise ConstructionError(f"unknown variant {variant!r}")
     constant_vectors(m)  # validates m up front
 
-    a1: list = [None] * n
-    a2: list = [None] * n
-    b1: list = [None] * n
-    b2: list = [None] * n
-
     s = sample_basis(m, rng)
     if variant == "nu":
         t = sample_compatible(s, rng)
         i_star = int(rng.np.integers(n))
-        regular = [i for i in range(n) if i != i_star]
-        for i, pair in zip(regular, sample_clause_pairs(s, rng, n - 1)):
-            a1[i], a2[i] = pair
-        a1[i_star], a2[i_star] = sample_special_pair(s, t, rng)
+        a = sample_clause_pairs(s, rng, n - 1)
+        a.insert(i_star, sample_special_pair(s, t, rng))
     else:
-        for i, pair in enumerate(sample_clause_pairs(s, rng, n)):
-            a1[i], a2[i] = pair
+        a = sample_clause_pairs(s, rng, n)
         i_star = int(rng.np.integers(n))
-        regular = [i for i in range(n) if i != i_star]
-        t = sample_second_basis(s, a1[i_star], a2[i_star], rng)
-
-    for i, pair in zip(regular, sample_clause_pairs(t.rev, rng, n - 1)):
-        b2[i], b1[i] = pair
-    b1[i_star] = ~a1[i_star]
-    b2[i_star] = ~a2[i_star]
+        t = sample_second_basis(s, *a[i_star], rng)
+    a1, a2 = zip(*a)
+    # The second bidder's regular pairs are (b2, b1) clause pairs of t.rev.
+    b = sample_clause_pairs(t.rev, rng, n - 1)
+    b.insert(i_star, (~a2[i_star], ~a1[i_star]))
+    b2, b1 = zip(*b)
 
     theta = int(rng.np.integers(1, 3))
     r_a = [int(r) for r in rng.np.integers(1, 3, size=n)]
@@ -451,10 +442,10 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
         s=s,
         t=t,
         i_star=i_star,
-        a1=tuple(a1),
-        a2=tuple(a2),
-        b1=tuple(b1),
-        b2=tuple(b2),
+        a1=a1,
+        a2=a2,
+        b1=b1,
+        b2=b2,
         theta=theta,
         r_a=tuple(r_a),
         r_b=tuple(r_b),
@@ -464,8 +455,8 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
     return inst
 
 
-def reference_instance(theta: int = 1) -> Instance:
-    """A single-index instance built from the embedded 16-item layout."""
+def reference_instance() -> Instance:
+    """A single-index instance with special copy 1, from the embedded 16-item layout."""
     s, t, (a1, a2) = reference_configuration()
     return Instance(
         m=REFERENCE_M,
@@ -478,9 +469,9 @@ def reference_instance(theta: int = 1) -> Instance:
         a2=(a2,),
         b1=(~a1,),
         b2=(~a2,),
-        theta=theta,
-        r_a=(theta,),
-        r_b=(theta,),
+        theta=1,
+        r_a=(1,),
+        r_b=(1,),
     )
 
 

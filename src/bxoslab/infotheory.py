@@ -180,12 +180,11 @@ def divergences(p, q) -> tuple[float, float]:
     return kl, l1 / 2.0
 
 
-def random_joint(
-    rng: RngStream, names: Sequence[str] = ("w", "x", "y", "z"), max_support: int = 4
-) -> JointDistribution:
-    """A random joint over small supports: per-variable support sizes are
-    drawn in [2, max_support] and the cell probabilities are normalized
-    uniform draws, laid out in row-major order."""
+def random_joint(rng: RngStream, max_support: int = 4) -> JointDistribution:
+    """A random joint of the variables w, x, y, z over small supports:
+    per-variable support sizes are drawn in [2, max_support] and the cell
+    probabilities are normalized uniform draws, laid out in row-major order."""
+    names = ("w", "x", "y", "z")
     sizes = [int(s) for s in rng.np.integers(2, max_support + 1, size=len(names))]
     weights = rng.np.random(math.prod(sizes)) + 1e-9
     weights /= weights.sum()

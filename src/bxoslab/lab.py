@@ -48,6 +48,7 @@ from .valuations import (
     oracle_allocation,
     recover_theta,
     recovery_threshold,
+    split_masks,
     split_welfares,
 )
 
@@ -137,18 +138,14 @@ def add_check(
         report["passed"] = False
 
 
-def report_to_json(report: dict, canonical: bool = False) -> str:
-    if not canonical:
-        return json.dumps(report, indent=2)
-    stripped = json.loads(json.dumps(report))
-    for check in stripped.get("checks", []):
-        check.pop("runtime_s", None)
-    return json.dumps(stripped, indent=2)
+def report_to_json(report: dict) -> str:
+    return json.dumps(report, indent=2)
 
 
 def canonical_report_bytes(report: dict) -> bytes:
-    """Byte form that is identical across reruns with the same seed."""
-    return report_to_json(report, canonical=True).encode()
+    """The report without per-check runtimes: identical across reruns with the same seed."""
+    checks = [{k: v for k, v in check.items() if k != "runtime_s"} for check in report["checks"]]
+    return report_to_json({**report, "checks": checks}).encode()
 
 
 def write_report(report: dict, path: str | Path) -> None:
@@ -408,16 +405,15 @@ def verify_theta_recovery(cfg: ExperimentConfig) -> dict:
 def _count_both_good(inst: Instance, eps: float) -> int:
     """Exhaustively count splits whose welfare clears the recovery bar under
     both copy envelopes at once (small universes only)."""
-    m = inst.m
-    if m > 20:
-        raise ConfigError("exhaustive split enumeration is limited to small universes")
     _, _, va1, va2, vb1, vb2 = build_valuations(inst)
-    bar = recovery_threshold(m, eps)
+    bar = recovery_threshold(inst.m, eps)
     min_clearing = bar.__floor__() + 1  # welfares are integers; q > bar iff q >= this
-    zs = np.arange(1 << m, dtype=np.uint32)
-    q1 = split_welfares(va1, vb1, zs)
-    q2 = split_welfares(va2, vb2, zs)
-    return int(np.count_nonzero((q1 >= min_clearing) & (q2 >= min_clearing)))
+    count = 0
+    for zs in split_masks(inst.m):
+        q1 = split_welfares(va1, vb1, zs)
+        q2 = split_welfares(va2, vb2, zs)
+        count += int(np.count_nonzero((q1 >= min_clearing) & (q2 >= min_clearing)))
+    return count
 
 
 def _instance_statistics(inst: Instance) -> dict:

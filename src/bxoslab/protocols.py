@@ -106,19 +106,15 @@ def execute(
     """
     if max_rounds < 1:
         raise ValueError("at least one round is required")
-    seen_a: Transcript = ()
-    seen_b: Transcript = ()
     from_a: list[Message] = []
     from_b: list[Message] = []
     to_a: list[Message] = []
     to_b: list[Message] = []
-    rounds = 0
     while True:
-        if rounds == max_rounds:
+        if len(from_a) == max_rounds:
             raise ProtocolError(f"round budget of {max_rounds} exceeded")
-        rounds += 1
-        from_a.append(_check_bits(protocol.bidder_a(va, seen_a), "first bidder"))
-        from_b.append(_check_bits(protocol.bidder_b(vb, seen_b), "second bidder"))
+        from_a.append(_check_bits(protocol.bidder_a(va, tuple(to_a)), "first bidder"))
+        from_b.append(_check_bits(protocol.bidder_b(vb, tuple(to_b)), "second bidder"))
         reply = protocol.seller(tuple(from_a), tuple(from_b))
         if reply is None:
             break
@@ -127,8 +123,6 @@ def execute(
         msg_a, msg_b = reply
         to_a.append(_check_bits(msg_a, "seller"))
         to_b.append(_check_bits(msg_b, "seller"))
-        seen_a = (*seen_a, msg_a)
-        seen_b = (*seen_b, msg_b)
 
     allocation = protocol.alloc(tuple(from_a), tuple(from_b))
     if not isinstance(allocation, Allocation):
@@ -138,7 +132,7 @@ def execute(
     return ProtocolOutcome(
         allocation=allocation,
         prices=(Fraction(prices[0]), Fraction(prices[1])),
-        rounds=rounds,
+        rounds=len(from_a),
         cc_bits=cc,
         from_a=tuple(from_a),
         from_b=tuple(from_b),

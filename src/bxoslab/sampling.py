@@ -31,6 +31,23 @@ class InvalidParameter(ValueError):
     """Raised for ill-formed partition parameters or count tables."""
 
 
+def _check_partition(cells: Sequence[ItemSet]) -> int:
+    # At least one cell, all of one universe, which they partition; returns its size.
+    if not cells:
+        raise InvalidParameter("at least one cell is required")
+    m = cells[0].m
+    union = 0
+    for c in cells:
+        if c.m != m:
+            raise UniverseMismatch("cells live over different universes")
+        if union & c.bits:
+            raise InvalidParameter("cells are not pairwise disjoint")
+        union |= c.bits
+    if union != (1 << m) - 1:
+        raise InvalidParameter("cells do not cover the universe")
+    return m
+
+
 def _check_count_rows(cells: Sequence[ItemSet], rows: Sequence[Sequence[int]]) -> list[int]:
     # One row per cell, all of one length, with counts >= 0 that sum to the
     # cell's size; returns the cell sizes.
@@ -56,18 +73,7 @@ class PartitionParameter:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.cells:
-            raise InvalidParameter("at least one cell is required")
-        m = self.cells[0].m
-        union = 0
-        for c in self.cells:
-            if c.m != m:
-                raise UniverseMismatch("cells live over different universes")
-            if union & c.bits:
-                raise InvalidParameter("cells are not pairwise disjoint")
-            union |= c.bits
-        if union != (1 << m) - 1:
-            raise InvalidParameter("cells do not cover the universe")
+        _check_partition(self.cells)
         if len(self.counts) != len(self.cells):
             raise InvalidParameter("one count per cell is required")
         # 0 <= p <= |cell|: the cell splits into p chosen and |cell| - p other items.
@@ -119,9 +125,9 @@ def refine_rows(
 ) -> list[list[ItemSet]]:
     """``rows`` independent refinements of the same cells.
 
-    ``class_counts[i]`` gives, for cell ``i``, how many of its items land in
-    each of the ``c`` classes; each count row must be non-negative and sum
-    to its cell's size (:class:`InvalidParameter` otherwise).
+    The cells must partition the universe; ``class_counts[i]`` gives, for
+    cell ``i``, how many of its items land in each of the ``c`` classes, as
+    counts >= 0 that sum to its size (:class:`InvalidParameter` otherwise).
     Within a cell the assignment is uniform over all assignments meeting the
     counts, and cells and refinements are independent.  Returns, per row,
     the ``c`` class sets, which partition the universe.
@@ -157,10 +163,8 @@ def refine_rows(
     exchangeable law is the uniform one.  The 16-bit precision changes only
     the size of the fix-up, never the law.
     """
-    if not base_cells:
-        raise InvalidParameter("at least one cell is required")
+    m = _check_partition(base_cells)
     sizes = _check_count_rows(base_cells, class_counts)
-    m = base_cells[0].m
     n_classes = len(class_counts[0])
     # Whole cells that land in one class, as bits shared by every row; the
     # shuffled cells with their count rows, side by side as the columns
@@ -169,8 +173,6 @@ def refine_rows(
     shuffled: list[tuple[ItemSet, Sequence[int], int, int]] = []
     total = 0
     for cell, row, size in zip(base_cells, class_counts, sizes):
-        if cell.m != m:
-            raise UniverseMismatch("cells live over different universes")
         nonzero = [j for j, cnt in enumerate(row) if cnt]
         if len(nonzero) == 1:
             fixed[nonzero[0]] |= cell.bits

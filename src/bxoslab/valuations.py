@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Iterator, Union
 
 import numpy as np
 
@@ -119,23 +119,23 @@ def split_welfares(va: BXOSValuation, vb: BXOSValuation, zs: np.ndarray) -> np.n
     return _family_max(va, zs).astype(np.int64) + _family_max(vb, comp)
 
 
-def opt_bruteforce(va: BXOSValuation, vb: BXOSValuation) -> int:
-    """Exact optimum by direct evaluation over every split of the universe.
+def split_masks(m: int) -> Iterator[np.ndarray]:
+    """Every split of an ``m``-item universe, as ascending uint32 masks in
+    chunks of at most ``_BRUTEFORCE_CHUNK``.
 
-    Independent of the clause-union reduction; guarded to small universes
-    rather than silently truncating.
+    Guarded to small universes rather than silently truncating.
     """
-    m = va.m
-    if vb.m != m:
-        raise UniverseMismatch("valuations live over different universes")
     if m > _BRUTEFORCE_MAX_M:
         raise ValueError(f"universe of size {m} is too large for enumeration")
-    best = 0
     for start in range(0, 1 << m, _BRUTEFORCE_CHUNK):
-        stop = min(start + _BRUTEFORCE_CHUNK, 1 << m)
-        zs = np.arange(start, stop, dtype=np.uint32)
-        best = max(best, int(split_welfares(va, vb, zs).max()))
-    return best
+        yield np.arange(start, min(start + _BRUTEFORCE_CHUNK, 1 << m), dtype=np.uint32)
+
+
+def opt_bruteforce(va: BXOSValuation, vb: BXOSValuation) -> int:
+    """Exact optimum over every split of the universe, independent of the clause-union reduction."""
+    if vb.m != va.m:
+        raise UniverseMismatch("valuations live over different universes")
+    return max(int(split_welfares(va, vb, zs).max()) for zs in split_masks(va.m))
 
 
 def build_valuations(

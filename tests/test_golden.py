@@ -104,6 +104,35 @@ def test_gen_bytes_m40000(variant, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M40000[variant], MISMATCH
 
 
+# ``opt`` stdout on the README instances: at m = 16 with the enumeration
+# oracle, whose 2^16 splits no other digest covers; and at m = 160.
+OPT_LINES = {
+    "m16-bruteforce": (
+        ["--m", "16", "--n", "4"],
+        "8ac8bd7465fdb47a8e1cdf405f7c6304a43d8741897524c6bed0693fb3e013ee",
+        ["--bruteforce"],
+        "b8d0f5bddeb6d6cb31323d8fab391041e017c9caf340e37f8453ccf79787aa34",
+    ),
+    "m160": (
+        ["--m", "160", "--n", "8"],
+        GEN_DIGEST,
+        [],
+        "2c05d89223e2c5438d7ea8f4c8481b7f7f6eeb90b9f239fbcfe379802b45e728",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPT_LINES))
+def test_opt_stdout_bytes(name, tmp_path, capsys):
+    size, gen_digest, flags, opt_digest = OPT_LINES[name]
+    out = tmp_path / "instance.json"
+    assert cli_main(["gen", *size, "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == gen_digest, MISMATCH
+    capsys.readouterr()
+    assert cli_main(["opt", "--instance", str(out), *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == opt_digest, MISMATCH
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_report_canonical_bytes(name, tmp_path):
     argv, digest = GOLDEN[name]
@@ -125,6 +154,20 @@ def test_concentration_report_bytes(tmp_path):
     assert cli_main(argv) == 1
     report = json.loads(out.read_text())
     assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == CONCENTRATION_DIGEST, MISMATCH
+
+
+# At m = 16 the optimal allocation of one of five trials clears the bars of
+# both copies (ambiguous, exit 1); the digest covers the exhaustive
+# per-instance counts of splits clearing both bars.
+THETA_M16_DIGEST = "97f42b6175634b257d8fcce627ede811310db12b487a08d315649f12ae87e4e9"
+
+
+def test_theta_m16_report_bytes(tmp_path):
+    out = tmp_path / "report.json"
+    argv = ["verify", "theta", "--m", "16", "--n", "4", "--trials", "5", "--seed", "7", "--out", str(out)]
+    assert cli_main(argv) == 1
+    report = json.loads(out.read_text())
+    assert hashlib.sha256(canonical_report_bytes(report)).hexdigest() == THETA_M16_DIGEST, MISMATCH
 
 
 # The three large-m lines of the benchmark at m = 1.6M, n = 4, one trial,

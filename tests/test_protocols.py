@@ -136,6 +136,49 @@ class TestExecuteAccounting:
         with pytest.raises(ProtocolError, match="round budget"):
             execute(chatty, v, v, max_rounds=8)
 
+    def test_bidders_see_the_seller_messages_sent_so_far(self):
+        # Call k of a bidder receives exactly the seller's first k - 1
+        # messages to that bidder, and rounds counts the bidder messages.
+        m = 4
+        v = BXOSValuation((ItemSet.full(m),))
+        seen = {"a": [], "b": []}
+
+        def bidder(side):
+            def speak(val, transcript):
+                seen[side].append(transcript)
+                return "1" * len(seen[side])
+
+            return speak
+
+        def stop_after(rounds):
+            # Distinct replies per round and per bidder; None ends the run.
+            return lambda a, b: None if len(a) == rounds else ("0" * len(a), "1" + "0" * len(a))
+
+        def protocol(seller):
+            return Protocol(
+                name="recorder",
+                simultaneous=False,
+                bidder_a=bidder("a"),
+                bidder_b=bidder("b"),
+                seller=seller,
+                alloc=lambda a, b: Allocation(ItemSet.full(m), ItemSet.empty(m)),
+                price=lambda a, b: (Fraction(0), Fraction(0)),
+            )
+
+        outcome = execute(protocol(stop_after(4)), v, v)
+        assert outcome.rounds == len(outcome.from_a) == 4
+        assert outcome.to_a == ("0", "00", "000")
+        assert outcome.to_b == ("10", "100", "1000")
+        assert seen["a"] == [outcome.to_a[:k] for k in range(4)]
+        assert seen["b"] == [outcome.to_b[:k] for k in range(4)]
+        assert all(type(t) is tuple for t in seen["a"] + seen["b"])
+
+        seen["a"].clear()
+        seen["b"].clear()
+        with pytest.raises(ProtocolError, match="round budget of 3"):
+            execute(protocol(stop_after(None)), v, v, max_rounds=3)
+        assert len(seen["a"]) == len(seen["b"]) == 3
+
     def test_simultaneous_flag_is_enforced(self):
         m = 4
         v = BXOSValuation((ItemSet.full(m),))

@@ -126,6 +126,28 @@ class TestRefineSample:
         with pytest.raises(InvalidParameter, match="negative"):
             refine_rows([ItemSet.full(m)], [(-1, m + 1)], rng, 2)
 
+    # Each row sums to its cell's size, so only the partition check rejects
+    # these cells, with PartitionParameter's texts, on both draw paths.
+    @pytest.mark.parametrize("m", [16, 40_000])
+    @pytest.mark.parametrize(
+        "layout, message",
+        [("overlapping", "cells are not pairwise disjoint"), ("missing-items", "cells do not cover the universe")],
+        ids=["overlapping", "missing-items"],
+    )
+    def test_cells_that_are_not_a_partition_raise(self, m, layout, message, rng):
+        unit = m // 16
+        if layout == "overlapping":
+            cells = [ItemSet.from_indices(m, range(10 * unit)), ItemSet.from_indices(m, range(6 * unit, m))]
+        else:
+            cells = [ItemSet.from_indices(m, range(8 * unit))]
+        rows = [(len(c) // 2, len(c) - len(c) // 2) for c in cells]
+        with pytest.raises(InvalidParameter, match=message):
+            PartitionParameter(tuple(cells), tuple(row[0] for row in rows))
+        with pytest.raises(InvalidParameter, match=message):
+            refine_sample(cells, rows, rng)
+        with pytest.raises(InvalidParameter, match=message):
+            refine_rows(cells, rows, rng, 2)
+
     def test_class_membership_frequency(self):
         # Cell of 5, classes (2, 2, 1): each item lands in class 0 with
         # frequency 2/5, by exchangeability.

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,8 +16,10 @@ from bxoslab import (
     recover_theta,
     sample_instance,
 )
+from bxoslab import valuations
+from bxoslab.construction import VARIANTS
 from bxoslab.lab import _count_both_good
-from bxoslab.valuations import bad_events, cross_intersections
+from bxoslab.valuations import bad_events, cross_intersections, split_masks
 
 from conftest import naive_opt
 
@@ -120,6 +123,23 @@ class TestOptOracles:
             inst = sample_instance(16, 4, "nu", rng.child(trial))
             va, vb, *_ = build_valuations(inst)
             assert opt_value(va, vb) == opt_bruteforce(va, vb) == 16
+
+    # Every other enumeration test fits in one chunk; 1 << 10 gives 64 whole
+    # chunks at m = 16 and 1000 gives 65 whole ones and a short last one.
+    @pytest.mark.parametrize("chunk", [1 << 10, 1000])
+    def test_split_enumeration_across_chunks(self, chunk, monkeypatch):
+        rng = RngStream(29, 0)
+        instances = [sample_instance(16, 3, variant, rng.child(k)) for k, variant in enumerate(VARIANTS * 3)]
+        one_chunk = [_count_both_good(inst, eps) for inst in instances for eps in (0.01, 0.1)]
+        assert any(one_chunk)
+        monkeypatch.setattr(valuations, "_BRUTEFORCE_CHUNK", chunk)
+        chunks = list(split_masks(16))
+        assert len(chunks) == -(-(1 << 16) // chunk)
+        assert np.array_equal(np.concatenate(chunks), np.arange(1 << 16, dtype=np.uint32))
+        for inst in instances:
+            va, vb, *_ = build_valuations(inst)
+            assert opt_bruteforce(va, vb) == opt_value(va, vb) == 16
+        assert [_count_both_good(inst, eps) for inst in instances for eps in (0.01, 0.1)] == one_chunk
 
     def test_oracle_allocation_achieves_opt(self, rng):
         inst = sample_instance(160, 4, "nu", rng)
