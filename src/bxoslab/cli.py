@@ -12,6 +12,7 @@ unusable.  The default seed comes from ``BXOSLAB_SEED`` when set; the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -71,6 +72,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=str, default=None, help="write the JSON result here")
 
 
+# Built once per process: parse_args keeps no state between calls.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="bxoslab")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Literal, Sequence
 
 from .itemsets import ItemSet, UniverseMismatch, part_cells, part_profile
@@ -77,14 +77,18 @@ class Basis:
     def m(self) -> int:
         return self.s1.m
 
-    @cached_property
+    @property
     def rev(self) -> "Basis":
         # Swapping the halves swaps the two equal middle entries of the
         # profile, so the reversal is a basis and is built without
         # ``__post_init__``'s check.  It shares this basis's cells instead of
-        # holding a copy.
-        rev = object.__new__(Basis)
-        rev.__dict__.update(s1=self.s2, s2=self.s1, cells=_rev_order(self.cells), rev=self)
+        # holding a copy.  Only the reversal refers back: a basis that kept
+        # its reversal too would be a reference cycle, which holds both, with
+        # their m-bit masks, until the cyclic collector runs.
+        rev = self.__dict__.get("_rev")
+        if rev is None:
+            rev = object.__new__(Basis)
+            rev.__dict__.update(s1=self.s2, s2=self.s1, cells=_rev_order(self.cells), _rev=self)
         return rev
 
     def sets(self) -> tuple[ItemSet, ItemSet]:

@@ -53,6 +53,17 @@ class ItemSet:
             raise ValueError("bitmask sets items outside the universe")
 
     @classmethod
+    def _new(cls, m: int, bits: int) -> "ItemSet":
+        # Trusted construction, without ``__post_init__``'s checks: only for
+        # ``0 <= bits < 1 << m`` with ``m > 0`` already known, as for the
+        # results of same-universe operations.
+        s = object.__new__(cls)
+        d = s.__dict__
+        d["m"] = m
+        d["bits"] = bits
+        return s
+
+    @classmethod
     def empty(cls, m: int) -> "ItemSet":
         return cls(m, 0)
 
@@ -121,27 +132,29 @@ class ItemSet:
         return 0 <= item < self.m and (self.bits >> item) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
+        if self.m <= 64:
+            return _low_bits(self.bits)
         return iter(self.indices().tolist())
 
     def __and__(self, other: "ItemSet") -> "ItemSet":
         _check_same_universe(self, other)
-        return ItemSet(self.m, self.bits & other.bits)
+        return ItemSet._new(self.m, self.bits & other.bits)
 
     def __or__(self, other: "ItemSet") -> "ItemSet":
         _check_same_universe(self, other)
-        return ItemSet(self.m, self.bits | other.bits)
+        return ItemSet._new(self.m, self.bits | other.bits)
 
     def __xor__(self, other: "ItemSet") -> "ItemSet":
         _check_same_universe(self, other)
-        return ItemSet(self.m, self.bits ^ other.bits)
+        return ItemSet._new(self.m, self.bits ^ other.bits)
 
     def __sub__(self, other: "ItemSet") -> "ItemSet":
         _check_same_universe(self, other)
-        return ItemSet(self.m, self.bits & ~other.bits)
+        return ItemSet._new(self.m, self.bits & ~other.bits)
 
     def __invert__(self) -> "ItemSet":
         """Complement within the universe."""
-        return ItemSet(self.m, self.bits ^ ((1 << self.m) - 1))
+        return ItemSet._new(self.m, self.bits ^ ((1 << self.m) - 1))
 
     def intersection_size(self, other: "ItemSet") -> int:
         _check_same_universe(self, other)
@@ -159,6 +172,15 @@ class ItemSet:
         if self.m <= 64:
             return f"ItemSet({self.m}, {{{','.join(map(str, self))}}})"
         return f"ItemSet(m={self.m}, |.|={len(self)})"
+
+
+def _low_bits(bits: int) -> Iterator[int]:
+    # Set bits in ascending order, lowest first: no array round trip, which
+    # costs more than this walk on sets of up to a word.
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
 
 
 def _cell_bits(m: int, sets: Sequence[ItemSet], start: int) -> list[int]:
@@ -181,7 +203,9 @@ def part_cells(m: int, sets: Sequence[ItemSet]) -> list[ItemSet]:
     ``sum(b[i] << (k-1-i))`` holds exactly the items whose membership
     indicator in ``sets[i]`` equals ``b[i]`` for every ``i``.
     """
-    return [ItemSet(m, c) for c in _cell_bits(m, sets, (1 << m) - 1)]
+    # The full set is the one checked construction; the cells are its subsets.
+    full = ItemSet.full(m)
+    return [ItemSet._new(m, c) for c in _cell_bits(m, sets, full.bits)]
 
 
 def part_profile(

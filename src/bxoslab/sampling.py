@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
 from typing import Sequence
@@ -31,8 +31,8 @@ class InvalidParameter(ValueError):
     """Raised for ill-formed partition parameters or count tables."""
 
 
-def _check_partition(cells: Sequence[ItemSet]) -> int:
-    # At least one cell, all of one universe, which they partition; returns its size.
+def _check_partition(cells: Sequence[ItemSet]) -> None:
+    # At least one cell, all of one universe, which they partition.
     if not cells:
         raise InvalidParameter("at least one cell is required")
     m = cells[0].m
@@ -45,24 +45,21 @@ def _check_partition(cells: Sequence[ItemSet]) -> int:
         union |= c.bits
     if union != (1 << m) - 1:
         raise InvalidParameter("cells do not cover the universe")
-    return m
 
 
-def _check_count_rows(cells: Sequence[ItemSet], rows: Sequence[Sequence[int]]) -> list[int]:
+def _check_count_rows(cells: Sequence[ItemSet], rows: Sequence[Sequence[int]]) -> None:
     # One row per cell, all of one length, with counts >= 0 that sum to the
-    # cell's size; returns the cell sizes.
+    # cell's size.
     if len(rows) != len(cells):
         raise InvalidParameter("one count row per cell is required")
     width = len(rows[0])
-    sizes = [len(c) for c in cells]
-    for size, row in zip(sizes, rows):
+    for cell, row in zip(cells, rows):
         if len(row) != width:
             raise InvalidParameter("count rows have inconsistent lengths")
         if width and min(row) < 0:
             raise InvalidParameter(f"class counts {tuple(row)} include a negative count")
-        if sum(row) != size:
-            raise InvalidParameter(f"class counts {tuple(row)} do not sum to cell size {size}")
-    return sizes
+        if sum(row) != len(cell):
+            raise InvalidParameter(f"class counts {tuple(row)} do not sum to cell size {len(cell)}")
 
 
 @dataclass(frozen=True)
@@ -117,6 +114,61 @@ _BATCH_ITEMS = 1 << 16
 _LABEL_BITS = 16
 
 
+class _Plan:
+    """What a count table alone fixes about a refinement (see refine_rows):
+    the cell sizes, and with them the universe size, its rows must match;
+    the one-class cells as ``(cell, class)``; the multi-class cells as
+    ``(cell, a, b)``, side by side as the columns ``a:b`` of ``total``."""
+
+    def __init__(self, table: tuple[tuple[int, ...], ...]) -> None:
+        self.table = table
+        self.sizes = tuple(sum(row) for row in table)
+        self.m = sum(self.sizes)
+        self.n_classes = len(table[0])
+        fixed: list[tuple[int, int]] = []
+        multi: list[tuple[int, int, int]] = []
+        total = 0
+        for i, (row, size) in enumerate(zip(table, self.sizes)):
+            nonzero = [j for j, cnt in enumerate(row) if cnt]
+            if len(nonzero) == 1:
+                fixed.append((i, nonzero[0]))
+            elif nonzero:
+                multi.append((i, total, total + size))
+                total += size
+        self.fixed, self.multi, self.total = tuple(fixed), tuple(multi), total
+
+    def fits(self, cells: Sequence[ItemSet]) -> bool:
+        # Cells of the table's sizes whose union is the universe: as many
+        # items as the universe, so they are also pairwise disjoint.
+        if len(cells) != len(self.sizes):
+            return False
+        union = 0
+        for c in cells:
+            if c.m != self.m:
+                return False
+            union |= c.bits
+        return union == (1 << self.m) - 1 and tuple(c.bits.bit_count() for c in cells) == self.sizes
+
+    @cached_property
+    def class_offsets(self) -> np.ndarray:
+        # Multi-row chunks only: column x lands in class j, which owns the
+        # whole bytes from ``j * width`` of each row's block.
+        width = 8 * ((self.m + 7) // 8)
+        offsets = np.arange(0, self.n_classes * width, width, dtype=np.min_scalar_type(self.n_classes * width - 1))
+        rows = [self.table[i] for i, _, _ in self.multi]
+        return np.repeat(np.tile(offsets, len(rows)), [cnt for row in rows for cnt in row])
+
+
+@lru_cache(maxsize=64)
+def _plan(table: tuple[tuple[int, ...], ...]) -> _Plan | None:
+    # None for a table no cells fit: no rows, rows of different lengths, a
+    # negative count or no items at all.
+    if not table or any(len(row) != len(table[0]) or (row and min(row) < 0) for row in table):
+        return None
+    plan = _Plan(table)
+    return plan if plan.m else None
+
+
 def refine_rows(
     base_cells: Sequence[ItemSet],
     class_counts: Sequence[Sequence[int]],
@@ -145,6 +197,16 @@ def refine_rows(
     cells are small (tens of items in the m = 160 README runs), and there
     the draw below, with several numpy calls per cell and class, costs about
     15 times as much per row (300 against 20 us for four 35-46-item cells).
+    What the count table alone fixes is its plan, built once per table and
+    cached: the count-row checks, the cell sizes the rows must match, the
+    one-class and multi-class cells, the multi-class cells' columns of one
+    index array and each column's class.  A call checks that its cells
+    partition the universe with the plan's sizes, unpacks all multi-class
+    cells at once and broadcasts their items to every row of the chunk;
+    after the draws, one add of the plan's class offsets and the row
+    offsets places each item in its (row, class) block, and one
+    ``packbits`` gives every class mask.  Cells or counts that miss the plan
+    raise what :class:`PartitionParameter`'s checks raise.
 
     Where every chunk is one row, every other cell of ``size`` items draws
     ``rng.np.integers(0, 1 << 16, size=size, dtype=np.uint16)``, one value
@@ -163,31 +225,31 @@ def refine_rows(
     exchangeable law is the uniform one.  The 16-bit precision changes only
     the size of the fix-up, never the law.
     """
-    m = _check_partition(base_cells)
-    sizes = _check_count_rows(base_cells, class_counts)
-    n_classes = len(class_counts[0])
-    # Whole cells that land in one class, as bits shared by every row; the
-    # shuffled cells with their count rows, side by side as the columns
-    # ``a:b`` of one index array per chunk.
+    plan = _plan(tuple(map(tuple, class_counts)))
+    if plan is None or not plan.fits(base_cells):
+        # Exactly the arguments that fail one of these checks miss their
+        # plan, so one of them raises, with its own text.
+        _check_partition(base_cells)
+        _check_count_rows(base_cells, class_counts)
+        raise AssertionError("cells and counts that pass both checks fit their plan")
+    m, n_classes = plan.m, plan.n_classes
+    # Whole cells that land in one class, as bits shared by every row.
     fixed = [0] * n_classes
-    shuffled: list[tuple[ItemSet, Sequence[int], int, int]] = []
-    total = 0
-    for cell, row, size in zip(base_cells, class_counts, sizes):
-        nonzero = [j for j, cnt in enumerate(row) if cnt]
-        if len(nonzero) == 1:
-            fixed[nonzero[0]] |= cell.bits
-        elif nonzero:
-            shuffled.append((cell, row, total, total + size))
-            total += size
+    for i, j in plan.fixed:
+        fixed[j] |= base_cells[i].bits
     chunk = max(1, _BATCH_ITEMS // m)
     if chunk == 1:
-        return [_exchangeable_row(m, fixed, shuffled, rng) for _ in range(rows)]
+        return [_exchangeable_row(plan, base_cells, fixed, rng) for _ in range(rows)]
     nbytes = (m + 7) // 8
     # Item x that lands in class j in row i of a chunk is item
     # (i * n_classes + j) * width + x of one universe: every (row, class)
-    # owns a block of whole bytes, so one set build gives all of the chunk's
+    # owns a block of whole bytes, so one packbits gives all of the chunk's
     # class masks, in that order.
     width = 8 * nbytes
+    # The multi-class cells' items, side by side in one row: one unpack.
+    raw = b"".join(base_cells[i].bits.to_bytes(nbytes, "little") for i, _, _ in plan.multi)
+    grid = np.frombuffer(raw, dtype=np.uint8).reshape(len(plan.multi), nbytes)
+    items = np.unpackbits(grid, axis=1, count=m, bitorder="little").nonzero()[1]
     out: list[list[ItemSet]] = []
     for start in range(0, rows, chunk):
         r = min(chunk, rows - start)
@@ -195,32 +257,28 @@ def refine_rows(
         # The smallest dtype keeps the index array small; a shuffle's draws
         # depend only on the length.
         dtype = np.min_scalar_type(universe - 1)
-        class_offsets = np.arange(0, n_classes * width, width, dtype=dtype)
-        flat = np.empty((r, total), dtype=dtype)
-        for cell, row, a, b in shuffled:
+        flat = np.empty((r, plan.total), dtype=dtype)
+        flat[:] = items
+        for _, a, b in plan.multi:
             perm = flat[:, a:b]
-            perm[:] = cell.indices()
             rng.np.permuted(perm, axis=1, out=perm)
-            perm += np.repeat(class_offsets, row)
-        flat += np.arange(0, universe, n_classes * width, dtype=dtype)[:, None]
-        raw = ItemSet.from_numpy_indices(universe, flat.ravel()).bits.to_bytes(universe // 8, "little")
-        masks = [int.from_bytes(raw[k : k + nbytes], "little") for k in range(0, len(raw), nbytes)]
+        flat += plan.class_offsets + np.arange(0, universe, n_classes * width, dtype=dtype)[:, None]
+        buf = np.zeros(universe, dtype=bool)
+        buf[flat] = True
+        packed = np.packbits(buf, bitorder="little").tobytes()
+        masks = [int.from_bytes(packed[k : k + nbytes], "little") for k in range(0, len(packed), nbytes)]
         for i in range(0, len(masks), n_classes):
-            out.append([ItemSet(m, f | b) for f, b in zip(fixed, masks[i : i + n_classes])])
+            out.append([ItemSet._new(m, f | b) for f, b in zip(fixed, masks[i : i + n_classes])])
     return out
 
 
-def _exchangeable_row(
-    m: int,
-    fixed: Sequence[int],
-    shuffled: Sequence[tuple[ItemSet, Sequence[int], int, int]],
-    rng: RngStream,
-) -> list[ItemSet]:
+def _exchangeable_row(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int], rng: RngStream) -> list[ItemSet]:
     # One row of a one-row chunk (see refine_rows): each multi-class cell
     # labels its items, and one mask is packed per class.
-    n_classes = len(fixed)
+    m, n_classes = plan.m, plan.n_classes
     labels = np.full(m, n_classes, dtype=np.min_scalar_type(n_classes))
-    for cell, row, a, b in shuffled:
+    for i, a, b in plan.multi:
+        row = plan.table[i]
         size = b - a
         r = rng.np.integers(0, 1 << _LABEL_BITS, size=size, dtype=np.uint16)
         lab = np.zeros(size, dtype=labels.dtype)
@@ -238,9 +296,9 @@ def _exchangeable_row(
         if size == m:
             labels = lab
         else:
-            labels[cell.indices()] = lab
+            labels[cells[i].indices()] = lab
     masks = [int.from_bytes(np.packbits(labels == j, bitorder="little").tobytes(), "little") for j in range(n_classes)]
-    return [ItemSet(m, f | mask) for f, mask in zip(fixed, masks)]
+    return [ItemSet._new(m, f | mask) for f, mask in zip(fixed, masks)]
 
 
 def refine_sample(

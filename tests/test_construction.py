@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 from math import factorial, isclose, sqrt
@@ -259,6 +261,19 @@ class TestSamplers:
             assert part_profile(m, b.rev.sets()) == constant_vectors(m).basis
             assert b.rev.cells == tuple(part_cells(m, b.rev.sets()))
             assert b.rev.rev is b
+
+    def test_a_basis_and_its_reversal_are_freed_by_reference_counting(self, rng):
+        # At m = 1.6M each holds six m-bit masks; a reference cycle between
+        # them would keep those until the cyclic collector runs.
+        b = sample_basis(16, rng)
+        rev = b.rev
+        refs = (weakref.ref(b), weakref.ref(rev))
+        gc.disable()
+        try:
+            del b, rev
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
 
     def test_basis_item_symmetry(self):
         rng = RngStream(31, 0)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -12,12 +13,51 @@ def bitmask_sets(max_m=48):
     )
 
 
+# Bits outside the universe, m <= 0 and negative masks, through every public
+# way to build a set.
+INVALID_CONSTRUCTIONS = {
+    "outside-init": lambda: ItemSet(4, 1 << 4),
+    "outside-from_indices": lambda: ItemSet.from_indices(4, [4]),
+    "outside-from_numpy_indices": lambda: ItemSet.from_numpy_indices(4, np.array([4])),
+    "outside-from_hex": lambda: ItemSet.from_hex(4, "10"),
+    "m0-init": lambda: ItemSet(0, 0),
+    "m-8-init": lambda: ItemSet(-8, 0),
+    "m0-empty": lambda: ItemSet.empty(0),
+    "m0-full": lambda: ItemSet.full(0),
+    "m0-from_indices": lambda: ItemSet.from_indices(0, []),
+    "m0-from_numpy_indices": lambda: ItemSet.from_numpy_indices(0, np.array([], dtype=np.int64)),
+    "m0-from_hex": lambda: ItemSet.from_hex(0, ""),
+    "m0-part_cells": lambda: part_cells(0, []),
+    "negative-init": lambda: ItemSet(8, -1),
+    "negative-wide-init": lambda: ItemSet(8, -(1 << 9)),
+    "negative-from_indices": lambda: ItemSet.from_indices(8, [-1]),
+    "negative-from_numpy_indices": lambda: ItemSet.from_numpy_indices(8, np.array([-1])),
+    "negative-from_hex": lambda: ItemSet.from_hex(8, "-1"),
+}
+
+
 class TestItemSet:
     def test_rejects_out_of_universe_bits(self):
         with pytest.raises(ValueError):
             ItemSet(4, 1 << 4)
         with pytest.raises(ValueError):
             ItemSet(0, 0)
+
+    # Each public constructor keeps its checks; only results of
+    # same-universe operations skip them.
+    @pytest.mark.parametrize("case", sorted(INVALID_CONSTRUCTIONS))
+    def test_public_constructors_reject_invalid_sets(self, case):
+        with pytest.raises(ValueError):
+            INVALID_CONSTRUCTIONS[case]()
+
+    @pytest.mark.parametrize("m", [1, 63, 64, 65])
+    def test_iteration_matches_indices_around_one_word(self, m):
+        gen = np.random.default_rng(m)
+        full = (1 << m) - 1
+        masks = [0, 1, 1 << (m - 1), full] + [int.from_bytes(gen.bytes(9), "little") & full for _ in range(50)]
+        for bits in masks:
+            s = ItemSet(m, bits)
+            assert list(s) == s.indices().tolist()
 
     def test_basic_ops(self):
         a = ItemSet.from_indices(8, [0, 1, 5])
@@ -67,8 +107,6 @@ class TestItemSet:
         assert ItemSet.from_numpy_indices(m, s.indices()) == s
 
     def test_from_numpy_large_universe(self):
-        import numpy as np
-
         idx = np.array([0, 700, 999], dtype=np.int64)
         s = ItemSet.from_numpy_indices(1000, idx)
         assert list(s) == [0, 700, 999]
@@ -87,8 +125,6 @@ class TestItemSet:
     @pytest.mark.parametrize("bad", [-1, "m", "-m-1", 1 << 40])
     def test_from_numpy_rejects_out_of_universe_indices(self, m, n_valid, bad):
         # Few and many indices take the two build paths.
-        import numpy as np
-
         index = {"m": m, "-m-1": -m - 1}.get(bad, bad)
         with pytest.raises(ValueError, match="outside universe"):
             ItemSet.from_numpy_indices(m, np.append(np.arange(n_valid), index))

@@ -280,6 +280,108 @@ def test_refine_rows_meets_the_counts_across_chunks():
     assert len({tuple(c.bits for c in classes) for classes in draws}) > 1000
 
 
+def reference_refine_rows(base_cells, class_counts, rng, rows):
+    """Multi-row refinement of stream version 4: rows in chunks of
+    ``(1 << 16) // m``; per chunk, per multi-class cell in order, per row of
+    the chunk, one ``permutation`` of the cell's ascending items, whose
+    consecutive blocks go to the classes in class order."""
+    m = base_cells[0].m
+    n_classes = len(class_counts[0])
+    chunk = (1 << 16) // m
+    assert chunk > 1
+    out = []
+    for start in range(0, rows, chunk):
+        acc = [[0] * n_classes for _ in range(min(chunk, rows - start))]
+        for cell, row in zip(base_cells, class_counts):
+            nonzero = [j for j, cnt in enumerate(row) if cnt]
+            if len(nonzero) == 1:
+                for bits in acc:
+                    bits[nonzero[0]] |= cell.bits
+                continue
+            if not nonzero:
+                continue
+            items = np.array([i for i in range(m) if cell.bits >> i & 1], dtype=np.int64)
+            for bits in acc:
+                perm = rng.np.permutation(items).tolist()
+                pos = 0
+                for j, cnt in enumerate(row):
+                    for i in perm[pos : pos + cnt]:
+                        bits[j] |= 1 << i
+                    pos += cnt
+        out.extend([ItemSet(m, b) for b in bits] for bits in acc)
+    return out
+
+
+def assert_same_draws(cells, table, rows, seed):
+    got_rng, want_rng = RngStream(seed, 5), RngStream(seed, 5)
+    assert refine_rows(cells, table, got_rng, rows) == reference_refine_rows(cells, table, want_rng, rows)
+    # Both consumed the same draws.
+    assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
+
+
+@pytest.mark.parametrize("m", [48, 160])
+@pytest.mark.parametrize("rows", ["2", "7", "chunk+3"])
+def test_refine_rows_matches_reference_draw_for_draw(m, rows):
+    n_rows = (1 << 16) // m + 3 if rows == "chunk+3" else int(rows)
+    for seed in range(4 if n_rows < 10 else 2):
+        cells, table = random_refinement(m, np.random.default_rng(seed))
+        assert_same_draws(cells, table, n_rows, seed)
+
+
+def relabelled(cells, seed):
+    # The same cell sizes over a random relabelling of the universe.
+    m = cells[0].m
+    perm = np.random.default_rng(seed).permutation(m)
+    return [ItemSet.from_numpy_indices(m, perm[c.indices()]) for c in cells]
+
+
+def test_refine_rows_reuses_one_plan_per_table():
+    # One table, two cell sets; as a list of lists and as a tuple of tuples
+    # it is one plan, and every call still draws as the reference does.
+    m = 160
+    cells, table = random_refinement(m, np.random.default_rng(11))
+    others = relabelled(cells, 12)
+    assert cells != others
+    as_lists, as_tuple = [list(row) for row in table], tuple(tuple(row) for row in table)
+    assert_same_draws(cells, as_lists, 7, 1)
+    misses = sampling._plan.cache_info().misses
+    assert_same_draws(others, as_tuple, 7, 2)
+    assert_same_draws(cells, as_tuple, 2, 3)
+    assert_same_draws(others, as_lists, 2, 4)
+    assert sampling._plan.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("m", [48, 40_000])
+@pytest.mark.parametrize(
+    "change",
+    ["item-moved", "same-sizes-overlapping", "item-missing", "item-shared"],
+)
+def test_a_cached_table_rejects_cells_that_do_not_fit(m, change, rng):
+    # The table's plan is cached by a valid call first; cells that do not
+    # fit it raise with the texts of the checks that PartitionParameter uses.
+    cells, table = random_refinement(m, np.random.default_rng(5))
+    refine_rows(cells, table, rng, 2)
+    a, b = [i for i, c in enumerate(cells) if len(c) >= 2][:2]
+    x, y = cells[a].indices()[0], cells[b].indices()[0]
+    bad = list(cells)
+    if change == "item-moved":
+        bad[a], bad[b] = cells[a] - ItemSet.from_indices(m, [x]), cells[b] | ItemSet.from_indices(m, [x])
+        message = f"class counts {table[a]} do not sum to cell size {len(cells[a]) - 1}"
+    elif change == "same-sizes-overlapping":
+        bad[a] = (cells[a] - ItemSet.from_indices(m, [x])) | ItemSet.from_indices(m, [y])
+        message = "cells are not pairwise disjoint"
+    elif change == "item-missing":
+        bad[a] = cells[a] - ItemSet.from_indices(m, [x])
+        message = "cells do not cover the universe"
+    else:
+        bad[a] = cells[a] | ItemSet.from_indices(m, [y])
+        message = "cells are not pairwise disjoint"
+    for rows in (1, 2):
+        with pytest.raises(InvalidParameter) as info:
+            refine_rows(bad, table, rng, rows)
+        assert str(info.value) == message
+
+
 def refinement_support(cells, rows):
     """Every refinement meeting the counts, as its tuple of class bitmasks,
     mapped to an index; enumerated cell by cell over distinct label orders."""
