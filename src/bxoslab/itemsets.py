@@ -97,7 +97,7 @@ class ItemSet:
         buf = np.zeros(m, dtype=bool)
         try:
             # Numpy would wrap a negative index round to the end of ``buf``.
-            if indices.min() < 0:
+            if indices.dtype.kind != "u" and indices.min() < 0:
                 raise IndexError
             buf[indices] = True
         except IndexError:

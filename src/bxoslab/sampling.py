@@ -19,6 +19,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from math import comb
+from operator import index
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +48,16 @@ def _check_partition(cells: Sequence[ItemSet]) -> None:
         raise InvalidParameter("cells do not cover the universe")
 
 
+def _row_fault(row: Sequence[int], width: int) -> str | None:
+    # What is wrong with a count row whatever its cell: a length other than
+    # the table's or a negative count.
+    if len(row) != width:
+        return "count rows have inconsistent lengths"
+    if width and min(row) < 0:
+        return f"class counts {tuple(row)} include a negative count"
+    return None
+
+
 def _check_count_rows(cells: Sequence[ItemSet], rows: Sequence[Sequence[int]]) -> None:
     # One row per cell, all of one length, with counts >= 0 that sum to the
     # cell's size.
@@ -54,10 +65,9 @@ def _check_count_rows(cells: Sequence[ItemSet], rows: Sequence[Sequence[int]]) -
         raise InvalidParameter("one count row per cell is required")
     width = len(rows[0])
     for cell, row in zip(cells, rows):
-        if len(row) != width:
-            raise InvalidParameter("count rows have inconsistent lengths")
-        if width and min(row) < 0:
-            raise InvalidParameter(f"class counts {tuple(row)} include a negative count")
+        fault = _row_fault(row, width)
+        if fault:
+            raise InvalidParameter(fault)
         if sum(row) != len(cell):
             raise InvalidParameter(f"class counts {tuple(row)} do not sum to cell size {len(cell)}")
 
@@ -137,18 +147,6 @@ class _Plan:
                 total += size
         self.fixed, self.multi, self.total = tuple(fixed), tuple(multi), total
 
-    def fits(self, cells: Sequence[ItemSet]) -> bool:
-        # Cells of the table's sizes whose union is the universe: as many
-        # items as the universe, so they are also pairwise disjoint.
-        if len(cells) != len(self.sizes):
-            return False
-        union = 0
-        for c in cells:
-            if c.m != self.m:
-                return False
-            union |= c.bits
-        return union == (1 << self.m) - 1 and tuple(c.bits.bit_count() for c in cells) == self.sizes
-
     @cached_property
     def class_offsets(self) -> np.ndarray:
         # Multi-row chunks only: column x lands in class j, which owns the
@@ -161,12 +159,11 @@ class _Plan:
 
 @lru_cache(maxsize=64)
 def _plan(table: tuple[tuple[int, ...], ...]) -> _Plan | None:
-    # None for a table no cells fit: no rows, rows of different lengths, a
-    # negative count or no items at all.
-    if not table or any(len(row) != len(table[0]) or (row and min(row) < 0) for row in table):
+    # None for a table that no cells fit whatever their sizes: no rows, or
+    # a row that _check_count_rows rejects on its own.
+    if not table or any(_row_fault(row, len(table[0])) for row in table):
         return None
-    plan = _Plan(table)
-    return plan if plan.m else None
+    return _Plan(table)
 
 
 def refine_rows(
@@ -204,9 +201,9 @@ def refine_rows(
     partition the universe with the plan's sizes, unpacks all multi-class
     cells at once and broadcasts their items to every row of the chunk;
     after the draws, one add of the plan's class offsets and the row
-    offsets places each item in its (row, class) block, and one
-    ``packbits`` gives every class mask.  Cells or counts that miss the plan
-    raise what :class:`PartitionParameter`'s checks raise.
+    offsets places each item in its (row, class) block, and one set built
+    from all of them holds every class mask.  Cells or counts that miss the
+    plan raise what :class:`PartitionParameter`'s checks raise.
 
     Where every chunk is one row, every other cell of ``size`` items draws
     ``rng.np.integers(0, 1 << 16, size=size, dtype=np.uint16)``, one value
@@ -225,13 +222,12 @@ def refine_rows(
     exchangeable law is the uniform one.  The 16-bit precision changes only
     the size of the fix-up, never the law.
     """
-    plan = _plan(tuple(map(tuple, class_counts)))
-    if plan is None or not plan.fits(base_cells):
-        # Exactly the arguments that fail one of these checks miss their
-        # plan, so one of them raises, with its own text.
-        _check_partition(base_cells)
+    _check_partition(base_cells)
+    plan = _plan(tuple(tuple(map(index, row)) for row in class_counts))
+    if plan is None or tuple(map(len, base_cells)) != plan.sizes:
+        # Partitioning cells miss their table's plan exactly when the rows
+        # fail this check, which raises with its own text.
         _check_count_rows(base_cells, class_counts)
-        raise AssertionError("cells and counts that pass both checks fit their plan")
     m, n_classes = plan.m, plan.n_classes
     # Whole cells that land in one class, as bits shared by every row.
     fixed = [0] * n_classes
@@ -243,8 +239,8 @@ def refine_rows(
     nbytes = (m + 7) // 8
     # Item x that lands in class j in row i of a chunk is item
     # (i * n_classes + j) * width + x of one universe: every (row, class)
-    # owns a block of whole bytes, so one packbits gives all of the chunk's
-    # class masks, in that order.
+    # owns a block of whole bytes, so one set over that universe holds all
+    # of the chunk's class masks, in that order.
     width = 8 * nbytes
     # The multi-class cells' items, side by side in one row: one unpack.
     raw = b"".join(base_cells[i].bits.to_bytes(nbytes, "little") for i, _, _ in plan.multi)
@@ -263,9 +259,7 @@ def refine_rows(
             perm = flat[:, a:b]
             rng.np.permuted(perm, axis=1, out=perm)
         flat += plan.class_offsets + np.arange(0, universe, n_classes * width, dtype=dtype)[:, None]
-        buf = np.zeros(universe, dtype=bool)
-        buf[flat] = True
-        packed = np.packbits(buf, bitorder="little").tobytes()
+        packed = ItemSet.from_numpy_indices(universe, flat.ravel()).bits.to_bytes(universe // 8, "little")
         masks = [int.from_bytes(packed[k : k + nbytes], "little") for k in range(0, len(packed), nbytes)]
         for i in range(0, len(masks), n_classes):
             out.append([ItemSet._new(m, f | b) for f, b in zip(fixed, masks[i : i + n_classes])])

@@ -129,6 +129,14 @@ class TestItemSet:
         with pytest.raises(ValueError, match="outside universe"):
             ItemSet.from_numpy_indices(m, np.append(np.arange(n_valid), index))
 
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
+    def test_from_numpy_takes_unsigned_indices(self, dtype):
+        # Unsigned indices cannot be negative; past the end they still raise.
+        idx = np.arange(0, 200, 3, dtype=dtype)
+        assert ItemSet.from_numpy_indices(200, idx) == ItemSet.from_indices(200, range(0, 200, 3))
+        with pytest.raises(ValueError, match="outside universe"):
+            ItemSet.from_numpy_indices(150, idx)
+
     @pytest.mark.parametrize("text", ["00 FF", "00FF", "00ff\n", " 00ff", "0x00", "+0ff", "00f"])
     def test_from_hex_accepts_only_to_hex_output(self, text):
         assert ItemSet.from_hex(16, "00ff") == ItemSet.from_indices(16, range(8, 16))

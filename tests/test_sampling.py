@@ -351,6 +351,16 @@ def test_refine_rows_reuses_one_plan_per_table():
     assert sampling._plan.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("m", [160, 40_000])
+def test_refine_rows_takes_a_numpy_count_table(m):
+    # A table of numpy integers draws as the same table of ints does, and
+    # its sets have an int universe size.
+    cells, table = random_refinement(m, np.random.default_rng(7))
+    got = refine_rows(cells, np.array(table), RngStream(3, 5), 3)
+    assert got == refine_rows(cells, table, RngStream(3, 5), 3)
+    assert {type(s.m) for row in got for s in row} == {int}
+
+
 @pytest.mark.parametrize("m", [48, 40_000])
 @pytest.mark.parametrize(
     "change",
