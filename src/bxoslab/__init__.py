@@ -8,6 +8,7 @@ from .sampling import (
     expected_intersection,
     pc_ally_avoidance_probability,
     pc_avoidance_probability,
+    refine_masks,
     refine_rows,
     refine_sample,
     sample_pc,

@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from .itemsets import ItemSet, UniverseMismatch, part_cells, part_profile
 from .rng import RngStream
-from .sampling import refine_rows, refine_sample
+from .sampling import refine_masks
 
 Variant = Literal["nu", "nu_prime"]
 VARIANTS = ("nu", "nu_prime")
@@ -220,38 +220,45 @@ def second_basis_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     return _blocks([opt[16 * s + 4 * t + a] for s in range(4) for a in range(4) for t in range(4)])
 
 
-def _basis_from_pattern_classes(classes: Sequence[ItemSet]) -> Basis:
-    # Classes arrive in pattern order (00, 01, 10, 11) for (first, second).
-    return Basis(classes[2] | classes[3], classes[1] | classes[3])
+# The samplers below build only the sets they keep, unions of the class masks
+# that refine_masks draws over their m-item universe, so ItemSet._new's
+# condition holds; Basis still checks its own profile.
+
+
+def _basis_from_pattern_classes(m: int, classes: Sequence[int]) -> Basis:
+    # Class masks arrive in pattern order (00, 01, 10, 11) for (first, second).
+    return Basis(ItemSet._new(m, classes[2] | classes[3]), ItemSet._new(m, classes[1] | classes[3]))
 
 
 def sample_basis(m: int, rng: RngStream) -> Basis:
     """Uniform draw over all bases."""
-    classes = refine_sample([ItemSet.full(m)], [constant_vectors(m).basis], rng)
-    return _basis_from_pattern_classes(classes)
+    classes = refine_masks([ItemSet.full(m)], [constant_vectors(m).basis], rng, 1)[0]
+    return _basis_from_pattern_classes(m, classes)
 
 
 def sample_compatible(base: Basis, rng: RngStream) -> Basis:
     """Uniform draw over bases the given basis is compatible with."""
-    classes = refine_sample(base.cells, compatible_cell_counts(base.m), rng)
-    return _basis_from_pattern_classes(classes)
+    classes = refine_masks(base.cells, compatible_cell_counts(base.m), rng, 1)[0]
+    return _basis_from_pattern_classes(base.m, classes)
 
 
-def _pair_from_joint_classes(classes: Sequence[ItemSet]) -> tuple[ItemSet, ItemSet]:
-    # Classes arrive as (both, first only, second only, neither).
-    return (classes[0] | classes[1], classes[0] | classes[2])
+def _pair_from_joint_classes(m: int, classes: Sequence[int]) -> tuple[ItemSet, ItemSet]:
+    # Class masks arrive as (both, first only, second only, neither).
+    return (ItemSet._new(m, classes[0] | classes[1]), ItemSet._new(m, classes[0] | classes[2]))
 
 
 def sample_clause_pairs(base: Basis, rng: RngStream, count: int) -> list[tuple[ItemSet, ItemSet]]:
     """``count`` independent uniform clause pairs with respect to the basis,
-    drawn as one :func:`refine_rows` batch (whose docstring gives the order).
+    drawn as one batch of the mask engine :func:`refine_masks` (whose
+    docstring gives the order); each pair is built from its row's masks.
 
     The first component of each pair is a clause with respect to the basis,
     the second with respect to its reversal, and their overlap profile is
     fixed.
     """
-    rows = refine_rows(base.cells, clause_pair_cell_counts(base.m), rng, count)
-    return [_pair_from_joint_classes(classes) for classes in rows]
+    m = base.m
+    rows = refine_masks(base.cells, clause_pair_cell_counts(m), rng, count)
+    return [_pair_from_joint_classes(m, classes) for classes in rows]
 
 
 def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
@@ -261,9 +268,10 @@ def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
 
 def sample_special_pair(s: Basis, t: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
     """Uniform draw over special clause pairs for a compatible basis pair."""
-    cells = [ItemSet(s.m, c) for c in _compatible_cells(s, t)]
-    classes = refine_sample(cells, special_pair_cell_counts(s.m), rng)
-    return _pair_from_joint_classes(classes)
+    m = s.m
+    cells = [ItemSet._new(m, c) for c in _compatible_cells(s, t)]
+    classes = refine_masks(cells, special_pair_cell_counts(m), rng, 1)[0]
+    return _pair_from_joint_classes(m, classes)
 
 
 def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> Basis:
@@ -274,8 +282,15 @@ def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> B
     cells = part_cells(m, (*s.sets(), a1, a2))
     if tuple(len(c) for c in cells) != vec.pair_profile:
         raise ConstructionError("sets do not form a clause pair for this basis")
-    classes = refine_sample(cells, second_basis_cell_counts(m), rng)
-    return _basis_from_pattern_classes(classes)
+    classes = refine_masks(cells, second_basis_cell_counts(m), rng, 1)[0]
+    return _basis_from_pattern_classes(m, classes)
+
+
+def _table(cells: Sequence[int], masks: Iterable[int]) -> list[tuple[int, ...]]:
+    # The one count kernel: per mask, its items in each cell mask.  Masks
+    # are read once, in order, so a generator keeps one m-bit temporary.
+    count = int.bit_count
+    return [tuple([count(c & x) for c in cells]) for x in masks]
 
 
 def _profile(cells: Sequence[int], m: int, *sets: ItemSet) -> tuple[int, ...]:
@@ -285,7 +300,7 @@ def _profile(cells: Sequence[int], m: int, *sets: ItemSet) -> tuple[int, ...]:
         if a.m != m:
             raise UniverseMismatch(f"set width {a.m} does not match universe {m}")
         mask &= a.bits
-    return tuple((c & mask).bit_count() for c in cells)
+    return _table(cells, (mask,))[0]
 
 
 def _joint_cells(s: Basis, t: Basis) -> list[int]:
@@ -304,22 +319,12 @@ def _compatible_cells(s: Basis, t: Basis) -> list[int]:
     return cells
 
 
-def _clause_pair_in(cells: Sequence[int], a1: ItemSet, a2: ItemSet, vec: ConstantVectors) -> bool:
-    # ``cells`` are a basis's four cell masks; a2 is read against the reversal.
-    return (
-        _profile(cells, vec.m, a1) == vec.reg
-        and _profile(_rev_order(cells), vec.m, a2) == vec.reg
-        and _profile(cells, vec.m, a1, a2) == vec.regpair
-    )
-
-
-def _special_pair_in(cells: Sequence[int], a1: ItemSet, a2: ItemSet, vec: ConstantVectors) -> bool:
-    # ``cells`` are the 16 joint cell masks of a basis pair.
-    return (
-        _profile(cells, vec.m, a1) == vec.spec1
-        and _profile(cells, vec.m, a2) == vec.spec2
-        and _profile(cells, vec.m, a1, a2) == vec.specpair
-    )
+def _clause_pair_profiles(cells: Sequence[int], firsts: Sequence[int], seconds: Sequence[int]) -> list[tuple]:
+    # Per pair of masks, the profiles a clause pair of the basis with cell
+    # masks ``cells`` fixes: of the first over the cells, of the second over
+    # the reversal's cells, and of their intersection over the cells.
+    both = (x & y for x, y in zip(firsts, seconds))
+    return list(zip(_table(cells, firsts), _table(_rev_order(cells), seconds), _table(cells, both)))
 
 
 def is_compatible(s: Basis, t: Basis) -> bool:
@@ -332,11 +337,21 @@ def is_clause(a: ItemSet, base: Basis) -> bool:
 
 
 def is_clause_pair(a1: ItemSet, a2: ItemSet, base: Basis) -> bool:
-    return _clause_pair_in([c.bits for c in base.cells], a1, a2, constant_vectors(base.m))
+    cells, m, vec = [c.bits for c in base.cells], base.m, constant_vectors(base.m)
+    return (
+        _profile(cells, m, a1) == vec.reg
+        and _profile(_rev_order(cells), m, a2) == vec.reg
+        and _profile(cells, m, a1, a2) == vec.regpair
+    )
 
 
 def is_special_pair(a1: ItemSet, a2: ItemSet, s: Basis, t: Basis) -> bool:
-    return _special_pair_in(_joint_cells(s, t), a1, a2, constant_vectors(s.m))
+    cells, m, vec = _joint_cells(s, t), s.m, constant_vectors(s.m)
+    return (
+        _profile(cells, m, a1) == vec.spec1
+        and _profile(cells, m, a2) == vec.spec2
+        and _profile(cells, m, a1, a2) == vec.specpair
+    )
 
 
 @dataclass(frozen=True)
@@ -386,17 +401,21 @@ class Instance:
         vec = constant_vectors(self.s.m)
         if self.s.m != self.m:
             raise UniverseMismatch(f"bases have width {self.s.m} != {self.m}")
-        s_cells = [c.bits for c in self.s.cells]
-        trev_cells = _rev_order([c.bits for c in self.t.cells])
-        for i in range(self.n):
-            if i == self.i_star:
-                continue
-            if not _clause_pair_in(s_cells, self.a1[i], self.a2[i], vec):
+        # Every regular pair of both bidders is counted first; the checks
+        # then fail at the lowest index, the first bidder first.
+        regular = [i for i in range(self.n) if i != self.i_star]
+        a1, a2, b1, b2 = ([seq[i].bits for i in regular] for seq in (self.a1, self.a2, self.b1, self.b2))
+        first = _clause_pair_profiles([c.bits for c in self.s.cells], a1, a2)
+        second = _clause_pair_profiles(_rev_order([c.bits for c in self.t.cells]), b2, b1)
+        want = (vec.reg, vec.reg, vec.regpair)
+        for i, got_a, got_b in zip(regular, first, second):
+            if got_a != want:
                 raise ConstructionError(f"index {i}: not a clause pair for the first bidder")
-            if not _clause_pair_in(trev_cells, self.b2[i], self.b1[i], vec):
+            if got_b != want:
                 raise ConstructionError(f"index {i}: not a clause pair for the second bidder")
         i = self.i_star
-        if not _special_pair_in(joint, self.a1[i], self.a2[i], vec):
+        x, y = self.a1[i].bits, self.a2[i].bits
+        if _table(joint, (x, y, x & y)) != [vec.spec1, vec.spec2, vec.specpair]:
             raise ConstructionError("special index does not hold a special pair")
         if self.b1[i] != ~self.a1[i] or self.b2[i] != ~self.a2[i]:
             raise ConstructionError("special-index second-bidder clauses must be complements")

@@ -84,7 +84,12 @@ class ItemSet:
     @classmethod
     def from_numpy_indices(cls, m: int, indices: np.ndarray) -> "ItemSet":
         """Set of the items in an integer index array (repeats allowed);
-        raises ``ValueError`` for an index outside ``[0, m)``."""
+        raises ``ValueError`` for an index outside ``[0, m)`` or an array
+        of another dtype."""
+        # Both paths below would misread such an array: numpy indexes with a
+        # bool array as a mask, and ``1 << True`` is ``1 << 1``.
+        if indices.dtype.kind not in "iu":
+            raise ValueError(f"item indices must be integers, got dtype {indices.dtype}")
         if indices.size <= _FEW_INDICES:
             items = indices.tolist()
             # Checked before shifting: 1 << i for a huge i would not fit in memory.

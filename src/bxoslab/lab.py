@@ -273,7 +273,7 @@ def _exact_delta_table(m: int) -> tuple[dict, bool]:
     s = sample_basis(m, rng)
     t = sample_compatible(s, rng)
     vec = constant_vectors(m)
-    joint_cells = tuple(ItemSet(m, c) for c in _compatible_cells(s, t))
+    joint_cells = tuple(ItemSet._new(m, c) for c in _compatible_cells(s, t))
 
     def clause_param(basis: Basis) -> PartitionParameter:
         return PartitionParameter(basis.cells, vec.reg)

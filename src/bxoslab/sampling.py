@@ -115,17 +115,17 @@ def sample_pc(param: PartitionParameter, rng: RngStream) -> ItemSet:
     return ItemSet(m, bits)
 
 
-# Item slots drawn in one pass of :func:`refine_rows` (rows x universe size).
+# Item slots drawn in one pass of :func:`refine_masks` (rows x universe size).
 # For every universe size above half of this each pass is one row, so
 # large-m draws and their memory are those of one refinement at a time.
 _BATCH_ITEMS = 1 << 16
 
-# Bits of the per-item draw of a one-row refinement (see refine_rows).
+# Bits of the per-item draw of a one-row refinement (see refine_masks).
 _LABEL_BITS = 16
 
 
 class _Plan:
-    """What a count table alone fixes about a refinement (see refine_rows):
+    """What a count table alone fixes about a refinement (see refine_masks):
     the cell sizes, and with them the universe size, its rows must match;
     the one-class cells as ``(cell, class)``; the multi-class cells as
     ``(cell, a, b)``, side by side as the columns ``a:b`` of ``total``."""
@@ -166,20 +166,22 @@ def _plan(table: tuple[tuple[int, ...], ...]) -> _Plan | None:
     return _Plan(table)
 
 
-def refine_rows(
+def refine_masks(
     base_cells: Sequence[ItemSet],
     class_counts: Sequence[Sequence[int]],
     rng: RngStream,
     rows: int,
-) -> list[list[ItemSet]]:
-    """``rows`` independent refinements of the same cells.
+) -> list[list[int]]:
+    """``rows`` independent refinements of the same cells, as bitmasks.
 
     The cells must partition the universe; ``class_counts[i]`` gives, for
     cell ``i``, how many of its items land in each of the ``c`` classes, as
     counts >= 0 that sum to its size (:class:`InvalidParameter` otherwise).
     Within a cell the assignment is uniform over all assignments meeting the
     counts, and cells and refinements are independent.  Returns, per row,
-    the ``c`` class sets, which partition the universe.
+    the ``c`` class masks (item ``i`` is bit ``i``), which partition the
+    universe.  Callers that keep only some sets, or unions of classes, build
+    just those from the masks.
 
     Draw order, which the golden digests pin: rows are drawn in chunks of
     ``max(1, _BATCH_ITEMS // m)``, one row per chunk for every
@@ -246,7 +248,7 @@ def refine_rows(
     raw = b"".join(base_cells[i].bits.to_bytes(nbytes, "little") for i, _, _ in plan.multi)
     grid = np.frombuffer(raw, dtype=np.uint8).reshape(len(plan.multi), nbytes)
     items = np.unpackbits(grid, axis=1, count=m, bitorder="little").nonzero()[1]
-    out: list[list[ItemSet]] = []
+    out: list[list[int]] = []
     for start in range(0, rows, chunk):
         r = min(chunk, rows - start)
         universe = r * n_classes * width
@@ -262,12 +264,12 @@ def refine_rows(
         packed = ItemSet.from_numpy_indices(universe, flat.ravel()).bits.to_bytes(universe // 8, "little")
         masks = [int.from_bytes(packed[k : k + nbytes], "little") for k in range(0, len(packed), nbytes)]
         for i in range(0, len(masks), n_classes):
-            out.append([ItemSet._new(m, f | b) for f, b in zip(fixed, masks[i : i + n_classes])])
+            out.append([f | b for f, b in zip(fixed, masks[i : i + n_classes])])
     return out
 
 
-def _exchangeable_row(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int], rng: RngStream) -> list[ItemSet]:
-    # One row of a one-row chunk (see refine_rows): each multi-class cell
+def _exchangeable_row(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int], rng: RngStream) -> list[int]:
+    # One row of a one-row chunk (see refine_masks): each multi-class cell
     # labels its items, and one mask is packed per class.
     m, n_classes = plan.m, plan.n_classes
     labels = np.full(m, n_classes, dtype=np.min_scalar_type(n_classes))
@@ -292,7 +294,21 @@ def _exchangeable_row(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int
         else:
             labels[cells[i].indices()] = lab
     masks = [int.from_bytes(np.packbits(labels == j, bitorder="little").tobytes(), "little") for j in range(n_classes)]
-    return [ItemSet._new(m, f | mask) for f, mask in zip(fixed, masks)]
+    return [f | mask for f, mask in zip(fixed, masks)]
+
+
+def refine_rows(
+    base_cells: Sequence[ItemSet],
+    class_counts: Sequence[Sequence[int]],
+    rng: RngStream,
+    rows: int,
+) -> list[list[ItemSet]]:
+    """``rows`` independent refinements of the same cells: the class masks
+    of :func:`refine_masks`, with the same arguments, checks and draws, as
+    class sets."""
+    masks = refine_masks(base_cells, class_counts, rng, rows)
+    m = base_cells[0].m
+    return [[ItemSet._new(m, x) for x in row] for row in masks]
 
 
 def refine_sample(

@@ -32,6 +32,7 @@ from bxoslab import (
 )
 from bxoslab.construction import (
     _joint_cells,
+    _table,
     clause_pair_cell_counts,
     compatible_cell_counts,
     sample_second_basis,
@@ -39,7 +40,7 @@ from bxoslab.construction import (
     special_pair_cell_counts,
 )
 
-from conftest import naive_part_profile
+from naive_reference import naive_part_profile
 
 
 class TestConstantVectors:
@@ -218,6 +219,23 @@ class TestReference:
         t = sample_compatible(s, rng)
         want = [c.bits for c in part_cells(m, (*s.sets(), *t.sets()))]
         assert _joint_cells(s, t) == want
+
+    @pytest.mark.parametrize("m", [16, 160])
+    def test_count_table_matches_naive_profiles(self, m):
+        rng = RngStream(5, 0)
+        s = sample_basis(m, rng)
+        t = sample_compatible(s, rng)
+        # Empty, full, random and clause masks; m // 8 bytes hold exactly m bits.
+        masks = [0, (1 << m) - 1] + [int.from_bytes(rng.np.bytes(m // 8), "little") for _ in range(4)]
+        masks += [sample_clause_pair(s, rng)[0].bits for _ in range(2)]
+        for sets, cells in (
+            (s.sets(), [c.bits for c in s.cells]),
+            ((*s.sets(), *t.sets()), _joint_cells(s, t)),
+        ):
+            members = [list(x) for x in sets]
+            want = [naive_part_profile(m, members, list(ItemSet(m, x))) for x in masks]
+            assert _table(cells, masks) == want
+            assert _table(cells, []) == []
 
     def test_predicates_reject_other_widths(self, reference):
         s, t, (a1, a2) = reference
@@ -506,6 +524,16 @@ def sequential_instance(m, n, variant, rng):
     )
 
 
+def _break_first_bidder(inst, j):
+    # A basis half is half-size but has the basis profile, not a clause's.
+    return replace(inst, a1=_put(inst.a1, j, inst.s.s1))
+
+
+def _break_second_bidder(inst, j):
+    # Swapped sides: each clause has the profile of the other copy.
+    return replace(inst, b1=_put(inst.b1, j, inst.b2[j]), b2=_put(inst.b2, j, inst.b1[j]))
+
+
 class TestInstances:
     @pytest.mark.parametrize("variant", ["nu", "nu_prime"])
     def test_sampled_instances_validate(self, variant):
@@ -534,13 +562,8 @@ class TestInstances:
     @pytest.mark.parametrize(
         "corrupt, message",
         [
-            # A basis half is half-size but has the basis profile, not a clause's.
-            (lambda inst, j: replace(inst, a1=_put(inst.a1, j, inst.s.s1)), "not a clause pair for the first bidder"),
-            # Swapped sides: each clause has the profile of the other copy.
-            (
-                lambda inst, j: replace(inst, b1=_put(inst.b1, j, inst.b2[j]), b2=_put(inst.b2, j, inst.b1[j])),
-                "not a clause pair for the second bidder",
-            ),
+            (_break_first_bidder, "not a clause pair for the first bidder"),
+            (_break_second_bidder, "not a clause pair for the second bidder"),
             (lambda inst, j: replace(inst, t=inst.s), "first basis is not compatible with the second"),
             (lambda inst, j: _special_at(inst, j), "special index does not hold a special pair"),
             (
@@ -555,6 +578,19 @@ class TestInstances:
         regular = (inst.i_star + 1) % inst.n
         with pytest.raises(ConstructionError, match=message):
             corrupt(inst, regular).validate()
+
+    @pytest.mark.parametrize("variant", ["nu", "nu_prime"])
+    def test_validate_fails_at_the_lowest_index_first_bidder_first(self, variant):
+        inst = sample_instance(160, 4, variant, RngStream(31, 0))
+        lo, _, hi = [i for i in range(inst.n) if i != inst.i_star]
+        # The second bidder breaks before the first: the earlier index is named.
+        broken = _break_second_bidder(_break_first_bidder(inst, hi), lo)
+        with pytest.raises(ConstructionError, match=f"^index {lo}: not a clause pair for the second bidder$"):
+            broken.validate()
+        # Both break at one index: the first bidder is named.
+        broken = _break_second_bidder(_break_first_bidder(inst, lo), lo)
+        with pytest.raises(ConstructionError, match=f"^index {lo}: not a clause pair for the first bidder$"):
+            broken.validate()
 
     def test_nu_prime_instances_satisfy_nu_invariants(self):
         rng = RngStream(123, 0)

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bxoslab import ItemSet, UniverseMismatch, part_cells, part_profile
+from bxoslab.itemsets import _FEW_INDICES
 
-from conftest import naive_part_profile
+from naive_reference import naive_part_profile
 
 
 def bitmask_sets(max_m=48):
@@ -33,6 +34,11 @@ INVALID_CONSTRUCTIONS = {
     "negative-from_indices": lambda: ItemSet.from_indices(8, [-1]),
     "negative-from_numpy_indices": lambda: ItemSet.from_numpy_indices(8, np.array([-1])),
     "negative-from_hex": lambda: ItemSet.from_hex(8, "-1"),
+    # Non-integer index arrays, on both sides of the short-array path.
+    "bool-few-from_numpy_indices": lambda: ItemSet.from_numpy_indices(64, np.array([True, False, True])),
+    "bool-many-from_numpy_indices": lambda: ItemSet.from_numpy_indices(64, np.ones(_FEW_INDICES + 1, dtype=bool)),
+    "float-few-from_numpy_indices": lambda: ItemSet.from_numpy_indices(64, np.array([1.0, 2.0])),
+    "float-many-from_numpy_indices": lambda: ItemSet.from_numpy_indices(64, np.arange(_FEW_INDICES + 1, dtype=float)),
 }
 
 

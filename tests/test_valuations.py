@@ -21,7 +21,7 @@ from bxoslab.construction import VARIANTS
 from bxoslab.lab import _count_both_good
 from bxoslab.valuations import bad_events, cross_intersections, split_masks
 
-from conftest import naive_opt
+from naive_reference import naive_opt
 
 
 def family(m, *clause_lists):
