@@ -63,9 +63,10 @@ _STREAM_PROTOCOL = 5 << 20
 _STREAM_GEN = 6 << 20
 
 # Upper bound on m * n.  One trial's tracemalloc peak measured at most about
-# 10.3 bytes per item (m = 1.6M with n = 1, 4 and 8; m = 400000 with n = 16;
-# m = 2**25 with n = 1, which peaked at 327.6 MiB).  The largest size in use,
-# m = 1.6M with n = 4, is 6.4M items.
+# 8.1 bytes per item over `verify concentration`, `verify theta`, `run
+# --protocol basis-exchange` and `gen` (m = 1.6M with n = 1, 4 and 8;
+# m = 400000 with n = 16; m = 2**25 with n = 1, which peaked at 260.3 MiB).
+# The largest size in use, m = 1.6M with n = 4, is 6.4M items.
 MAX_ITEMS = 2**25
 
 

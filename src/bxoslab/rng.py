@@ -20,7 +20,10 @@ import numpy as np
 # 3: one-row refinements (m > 32768) draw only the items outside each
 #    cell's largest class.
 # 4: one-row refinements draw i.i.d. per-item labels, then fix the counts.
-STREAM_VERSION = 4
+# 5: one-row refinements draw those labels for the whole universe in item
+#    order and release each surplus by uniform rejection; draws at
+#    m <= 32768 are unchanged.
+STREAM_VERSION = 5
 
 _MASK64 = (1 << 64) - 1
 

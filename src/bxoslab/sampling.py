@@ -8,15 +8,16 @@ feasible sets; the exhaustive small-universe tests in the suite validate this
 argument directly.
 
 In-cell selection is a uniform permutation, or at large universes i.i.d.
-per-item labels whose class counts a uniform fix-up then makes exact; either
-is exactly uniform and runs at C speed for large cells.
+per-item labels, drawn for the whole universe in item order, whose class
+counts a fix-up by uniform rejection then makes exact; either is exactly
+uniform and runs at C speed for large cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import index
@@ -120,8 +121,11 @@ def sample_pc(param: PartitionParameter, rng: RngStream) -> ItemSet:
 # large-m draws and their memory are those of one refinement at a time.
 _BATCH_ITEMS = 1 << 16
 
-# Bits of the per-item draw of a one-row refinement (see refine_masks).
+# Bits of the per-item draw of a one-row refinement, and the items drawn and
+# labelled per pass (even, so the passes draw what one call would; see
+# refine_masks).
 _LABEL_BITS = 16
+_LABEL_CHUNK = 1 << 15
 
 
 class _Plan:
@@ -207,23 +211,40 @@ def refine_masks(
     from all of them holds every class mask.  Cells or counts that miss the
     plan raise what :class:`PartitionParameter`'s checks raise.
 
-    Where every chunk is one row, every other cell of ``size`` items draws
-    ``rng.np.integers(0, 1 << 16, size=size, dtype=np.uint16)``, one value
-    per item in ascending order, and labels each item by how many of the
-    thresholds ``(cum << 16) // size`` it clears, ``cum`` running over the
-    row's cumulative counts but the last.  Each class with a surplus ``d``,
-    in class order, releases ``rng.np.choice`` of ``d`` of its ascending
-    positions without replacement, and the released items take the missing
-    labels as one ``rng.np.shuffle``-d ``np.repeat`` of them in class order.
-    This is exactly uniform: (1) the first labels are i.i.d., so their law
-    does not change when the items are permuted; (2) the fix-up releases
-    items uniformly within a class and places the missing labels by a
-    uniform permutation, so it commutes with permuting the items and the
-    result is exchangeable; (3) the result always meets the counts, and the
-    permutations act transitively on assignments with fixed counts, so that
-    exchangeable law is the uniform one.  The 16-bit precision changes only
-    the size of the fix-up, never the law.
+    Where every chunk is one row (``m > _BATCH_ITEMS // 2``), a row works
+    in item order.  Unless every cell lands in one class, it draws
+    ``rng.np.integers(0, 1 << 16, size=m, dtype=np.uint16)``, one value per
+    item of the universe in ascending order (in passes of ``_LABEL_CHUNK``
+    items; an even pass length draws what one call would).  An item of a
+    multi-class cell of ``size`` items takes the label of how many of the
+    thresholds ``(cum << 16) // size`` it clears, ``cum`` running over its
+    row's cumulative counts but the last; one table per call, indexed by
+    (cell, draw), holds every label, and the items of one-class cells take
+    no label.  Then, cell by cell and class by class, each (cell, class)
+    with a surplus ``d`` releases ``d`` of its items by sequential
+    rejection: batches of ``rng.np.integers(0, m, size=...)`` uniform
+    items, each batch as long as the hits still wanted need on average
+    (``ceil(wanted * m / members not yet hit)``, at most ``_LABEL_CHUNK``),
+    keep the first hit of each member in draw order until ``d`` are
+    released.  The released items of a cell take the missing labels as one
+    ``rng.np.shuffle``-d ``np.repeat`` of them in class order.  The class
+    masks are packed a pass at a time, and a (cell, class) count is a
+    popcount of that class's words within the cell's.  This is
+    exactly uniform: (1) the first labels are i.i.d., so their law does not
+    change when the items are permuted; (2) sequential rejection releases a
+    uniformly ordered sample of a class's items in its cell, and the missing
+    labels are placed by a uniform permutation, so the fix-up commutes with
+    permuting the items and the result is exchangeable; (3) the result
+    always meets the counts, and the permutations act transitively on
+    assignments with fixed counts, so that exchangeable law is the uniform
+    one.  The 16-bit precision changes only the size of the fix-up, never
+    the law; rejection costs about ``d * m / |S|`` draws for a surplus of
+    ``d`` among the ``|S|`` items of that (cell, class).  Per call the
+    buffers hold one cell id per item and 64 Ki labels per multi-class
+    cell; nothing of them is cached.
     """
+    if rows < 0:
+        raise InvalidParameter(f"rows must be >= 0, got {rows}")
     _check_partition(base_cells)
     plan = _plan(tuple(tuple(map(index, row)) for row in class_counts))
     if plan is None or tuple(map(len, base_cells)) != plan.sizes:
@@ -235,9 +256,11 @@ def refine_masks(
     fixed = [0] * n_classes
     for i, j in plan.fixed:
         fixed[j] |= base_cells[i].bits
+    if not plan.multi or not rows:
+        return [list(fixed) for _ in range(rows)]
     chunk = max(1, _BATCH_ITEMS // m)
     if chunk == 1:
-        return [_exchangeable_row(plan, base_cells, fixed, rng) for _ in range(rows)]
+        return _labelled_rows(plan, base_cells, fixed, rng, rows)
     nbytes = (m + 7) // 8
     # Item x that lands in class j in row i of a chunk is item
     # (i * n_classes + j) * width + x of one universe: every (row, class)
@@ -268,33 +291,115 @@ def refine_masks(
     return out
 
 
-def _exchangeable_row(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int], rng: RngStream) -> list[int]:
-    # One row of a one-row chunk (see refine_masks): each multi-class cell
-    # labels its items, and one mask is packed per class.
-    m, n_classes = plan.m, plan.n_classes
-    labels = np.full(m, n_classes, dtype=np.min_scalar_type(n_classes))
-    for i, a, b in plan.multi:
-        row = plan.table[i]
-        size = b - a
-        r = rng.np.integers(0, 1 << _LABEL_BITS, size=size, dtype=np.uint16)
-        lab = np.zeros(size, dtype=labels.dtype)
-        cleared = [size]
-        for cum in accumulate(row[:-1]):
-            above = r >= (cum << _LABEL_BITS) // size
-            cleared.append(np.count_nonzero(above))
-            lab += above
-        excess = [hi - lo - cnt for hi, lo, cnt in zip(cleared, cleared[1:] + [0], row)]
-        if any(excess):
-            released = [rng.np.choice(np.flatnonzero(lab == j), d, replace=False) for j, d in enumerate(excess) if d > 0]
-            fill = np.repeat(np.arange(n_classes, dtype=lab.dtype), [max(-d, 0) for d in excess])
+def _cell_ids(cell_words: Sequence[np.ndarray], m: int) -> np.ndarray:
+    # Per item, the index of its multi-class cell, or len(cell_words) for an
+    # item of a one-class cell.  Bit b of the ids is the union of the cells
+    # whose id has that bit, unpacked a chunk at a time so that no
+    # temporary spans the universe.
+    last = len(cell_words)
+    ids = [*cell_words, ~reduce(np.bitwise_or, cell_words)]
+    planes = [
+        reduce(np.bitwise_or, [w for k, w in enumerate(ids) if k >> b & 1]).view(np.uint8)
+        for b in range(last.bit_length())
+    ]
+    cid = np.zeros(m, dtype=np.min_scalar_type(last))
+    for a in range(0, m, _LABEL_CHUNK):
+        e = min(a + _LABEL_CHUNK, m)
+        part = cid[a:e]
+        for b, plane in enumerate(planes):
+            bit = np.unpackbits(plane[a // 8 : (e + 7) // 8], count=e - a, bitorder="little").astype(cid.dtype, copy=False)
+            bit *= 1 << b
+            part |= bit
+    return cid
+
+
+def _label_table(plan: _Plan) -> np.ndarray:
+    # Entry (k << 16) + r is the label of draw r in the k-th multi-class
+    # cell: how many of the thresholds (cum << 16) // size it clears.  The
+    # last 1 << 16 entries, for items of one-class cells, hold n_classes,
+    # which is no class.
+    n_classes, span = plan.n_classes, 1 << _LABEL_BITS
+    table = np.full((len(plan.multi) + 1) * span, n_classes, dtype=np.min_scalar_type(n_classes))
+    for k, (i, a, b) in enumerate(plan.multi):
+        edges = [k * span + ((cum << _LABEL_BITS) // (b - a)) for cum in accumulate(plan.table[i], initial=0)]
+        for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
+            table[lo:hi] = j
+    return table
+
+
+def _release(members: np.ndarray, left: int, d: int, m: int, rng: RngStream) -> list[int]:
+    # d distinct items of the ``left`` items packed in the bytes
+    # ``members``, in the order sequential rejection hits them: each batch
+    # draws uniform items of the m, as many as the hits still wanted need on
+    # average (at most _LABEL_CHUNK), and keeps the first hit of each member.
+    taken: dict[int, None] = {}
+    while len(taken) < d:
+        x = rng.np.integers(0, m, size=min(-(-(d - len(taken)) * m // (left - len(taken))), _LABEL_CHUNK))
+        hits = [i for i in dict.fromkeys(x[members[x >> 3] >> (x & 7) & 1 == 1].tolist()) if i not in taken]
+        taken.update(dict.fromkeys(hits[: d - len(taken)]))
+    return list(taken)
+
+
+def _labelled_rows(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int], rng: RngStream, rows: int) -> list[list[int]]:
+    # One-row chunks (see refine_masks).  The multi-class cells, the classes
+    # of the current row and one scratch row are packed into 64-bit words,
+    # rows of one array made once per call, so a (cell, class) count is one
+    # AND and one popcount.
+    m, n_classes, n_multi = plan.m, plan.n_classes, len(plan.multi)
+    nwords = (m + 63) // 64
+    words = np.zeros((n_multi + n_classes + 1, nwords), dtype=np.uint64)
+    cell_words, packed, word = words[:n_multi], words[n_multi:-1], words[-1]
+    for k, (i, _, _) in enumerate(plan.multi):
+        cell_words[k] = np.frombuffer(cells[i].bits.to_bytes(8 * nwords, "little"), dtype=np.uint64)
+    as_bytes = packed.view(np.uint8)
+    cid = _cell_ids(cell_words, m)
+    table = _label_table(plan)
+    classes = np.arange(n_classes, dtype=table.dtype)[:, None]
+    key = np.empty(_LABEL_CHUNK, dtype=np.min_scalar_type(((n_multi + 1) << _LABEL_BITS) - 1))
+    labels = np.empty(_LABEL_CHUNK, dtype=table.dtype)
+    out = []
+    for _ in range(rows):
+        for a in range(0, m, _LABEL_CHUNK):
+            b = min(a + _LABEL_CHUNK, m)
+            part = key[: b - a]
+            np.copyto(part, cid[a:b])
+            part <<= _LABEL_BITS
+            part |= rng.np.integers(0, 1 << _LABEL_BITS, size=b - a, dtype=np.uint16)
+            # Every key is in range; "clip" only spares take a buffered copy.
+            lab = np.take(table, part, out=labels[: b - a], mode="clip")
+            as_bytes[:, a // 8 : (b + 7) // 8] = np.packbits(lab == classes, axis=1, bitorder="little")
+        # Released items, their old classes and their new ones.  The cells
+        # are disjoint, so the masks are fixed up after the last cell.
+        moved: list[int] = []
+        was: list[int] = []
+        now: list[int] = []
+        for k, (i, a, b) in enumerate(plan.multi):
+            cell, row = cell_words[k], plan.table[i]
+            # A class with no items has an empty label interval, and the
+            # last class with items takes what the others leave.
+            used = [j for j, cnt in enumerate(row) if cnt]
+            got = [0] * n_classes
+            for j in used[:-1]:
+                got[j] = int(np.bitwise_count(np.bitwise_and(packed[j], cell, out=word), out=word).sum())
+            got[used[-1]] = b - a - sum(got)
+            excess = [g - cnt for g, cnt in zip(got, row)]
+            if not any(excess):
+                continue
+            for j, d in enumerate(excess):
+                if d > 0:
+                    members = np.bitwise_and(packed[j], cell, out=word).view(np.uint8)
+                    moved += _release(members, got[j], d, m, rng)
+                    was += [j] * d
+            fill = np.repeat(np.arange(n_classes), [max(-d, 0) for d in excess])
             rng.np.shuffle(fill)
-            lab[np.concatenate(released)] = fill
-        if size == m:
-            labels = lab
-        else:
-            labels[cells[i].indices()] = lab
-    masks = [int.from_bytes(np.packbits(labels == j, bitorder="little").tobytes(), "little") for j in range(n_classes)]
-    return [f | mask for f, mask in zip(fixed, masks)]
+            now += fill.tolist()
+        if moved:
+            # A released item's bit flips in its old class and its new one.
+            items = np.array(moved * 2)
+            at = np.array(was + now) * as_bytes.shape[1] + (items >> 3)
+            np.bitwise_xor.at(as_bytes.reshape(-1), at, (1 << (items & 7)).astype(np.uint8))
+        out.append([f | int.from_bytes(p.tobytes(), "little") for f, p in zip(fixed, packed)])
+    return out
 
 
 def refine_rows(

@@ -25,7 +25,7 @@ from bxoslab.lab import (
     verify_theta_recovery,
 )
 
-GOLDEN_STREAM_VERSION = 4
+GOLDEN_STREAM_VERSION = 5
 
 # Names the draw stream and the numpy release in each digest failure, so a
 # numpy upgrade is told apart from a sampler change.
@@ -88,11 +88,12 @@ def test_gen_bytes_m1024(variant, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M1024[variant], MISMATCH
 
 
-# m = 40000: one clause pair per refine_rows chunk, each cell drawing i.i.d.
-# labels and an exact count fix-up (stream version 4).
+# m = 40000: one clause pair per refine_rows chunk, labelled by i.i.d. draws
+# over the whole universe in item order and fixed up by uniform rejection
+# (stream version 5).
 GEN_DIGESTS_M40000 = {
-    "nu": "18bd69afb42d359d797c3890ca265b0be93dd0e5d0ebc859ba1d6ce406f3588d",
-    "nu_prime": "340653c7c473b86a7e9cf39ce468991f5676386ae42f59d27695c5459cdce94a",
+    "nu": "a29ca6ea83bebc32652402f31be918a2b80bd6f0131d1595b20055ca48707fd7",
+    "nu_prime": "39ca7fb8d51d247f5b73a4d8911799a18de6de058a5a4c34cb1b59db46352bd2",
 }
 
 
@@ -177,7 +178,7 @@ GOLDEN_LARGE_M = {
     "verify-concentration": (
         verify_concentration,
         {"eps": 0.002},
-        "4192d8f4f90e87966316db2aae027287f7681f2fa454f9c05f853d412ec6ae0a",
+        "0b2de13581b49713dcddc1cd1191325073364e8db324bf39558727b5d3e9719b",
     ),
     "verify-theta-nu-prime": (
         verify_theta_recovery,

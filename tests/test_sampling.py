@@ -1,4 +1,5 @@
 import tracemalloc
+import types
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -28,6 +29,7 @@ from bxoslab.construction import (
     sample_basis,
     sample_clause_pairs,
     sample_compatible,
+    sample_instance,
     sample_special_pair,
     special_pair_cell_counts,
 )
@@ -148,6 +150,33 @@ class TestRefineSample:
         with pytest.raises(InvalidParameter, match=message):
             refine_rows(cells, rows, rng, 2)
 
+    @pytest.mark.parametrize("m", [16, 40_000])
+    def test_negative_rows_raise(self, m, rng):
+        cells, table = [ItemSet.full(m)], [(m // 2, m - m // 2)]
+        with pytest.raises(InvalidParameter, match="rows must be >= 0, got -1"):
+            sampling.refine_masks(cells, table, rng, -1)
+        with pytest.raises(InvalidParameter, match="rows must be >= 0"):
+            refine_rows(cells, table, rng, -2)
+
+    # m = 160 draws in multi-row chunks, m = 40000 one row at a time.
+    @pytest.mark.parametrize("m", [160, 40_000])
+    def test_zero_rows_draw_and_build_nothing(self, m, monkeypatch):
+        # No draw, and no per-call array: the multi-row path unpacks the
+        # cells first, the one-row path its label table and cell ids.
+        cells, table = random_refinement(m, np.random.default_rng(3))
+        base = sample_basis(m, RngStream(29, 1))
+
+        def fail(*args, **kwargs):
+            raise AssertionError("per-call arrays built for zero rows")
+
+        monkeypatch.setattr(sampling, "_label_table", fail)
+        monkeypatch.setattr(sampling.np, "unpackbits", fail)
+        rng = RngStream(29, 0)
+        assert sampling.refine_masks(cells, table, rng, 0) == []
+        # An instance with n = 1 asks for zero regular clause pairs.
+        assert sample_clause_pairs(base, rng, 0) == []
+        assert rng.np.integers(1 << 62) == RngStream(29, 0).np.integers(1 << 62)
+
     def test_class_membership_frequency(self):
         # Cell of 5, classes (2, 2, 1): each item lands in class 0 with
         # frequency 2/5, by exchangeability.
@@ -195,46 +224,49 @@ def reference_refine_sample(base_cells, class_counts, rng):
 
 
 def reference_one_row_refine_sample(base_cells, class_counts, rng):
-    """One-row refinement of stream version 4: per multi-class cell, one
-    uint16 draw per ascending item, labelled by the thresholds
-    ``(cum << 16) // size`` it clears; then, class by class, a ``choice`` of
-    each surplus among that label's ascending positions, and one shuffled
-    multiset of the missing labels for the released items."""
+    """One-row refinement of stream version 5: unless every cell is
+    one-class, one uint16 draw per item of the universe in ascending order,
+    each item of a multi-class cell labelled by the thresholds
+    ``(cum << 16) // size`` of its cell that it clears; then, cell by cell
+    and class by class, each surplus released by sequential rejection over
+    uniform items (batches of the expected number of draws still needed, at
+    most 32768), and the released items given one shuffled multiset of the
+    cell's missing labels."""
     m = base_cells[0].m
-
-    def bits_of(items):
-        buf = np.zeros(m, dtype=bool)
-        buf[items] = True
-        return int.from_bytes(np.packbits(buf, bitorder="little").tobytes(), "little")
-
     n_classes = len(class_counts[0])
-    acc = [0] * n_classes
+    labels = np.full(m, -1)
+    multi = []
     for cell, row in zip(base_cells, class_counts):
         nonzero = [j for j, cnt in enumerate(row) if cnt]
-        if len(nonzero) == 1:
-            acc[nonzero[0]] |= cell.bits
-            continue
-        if not nonzero:
-            continue
         raw = np.frombuffer(cell.bits.to_bytes((m + 7) // 8, "little"), dtype=np.uint8)
         items = np.flatnonzero(np.unpackbits(raw, bitorder="little")[:m])
-        size = items.size
-        draws = rng.np.integers(0, 1 << 16, size=size, dtype=np.uint16).astype(np.int64)
-        thresholds = (np.cumsum(row)[:-1] << 16) // size
-        labels = np.searchsorted(thresholds, draws, side="right")
-        got = np.bincount(labels, minlength=n_classes)
+        if len(nonzero) == 1:
+            labels[items] = nonzero[0]
+        elif nonzero:
+            multi.append((items, row))
+    if multi:
+        draws = rng.np.integers(0, 1 << 16, size=m, dtype=np.uint16).astype(np.int64)
+    for items, row in multi:
+        thresholds = (np.cumsum(row)[:-1] << 16) // items.size
+        labels[items] = np.searchsorted(thresholds, draws[items], side="right")
+    for items, row in multi:
+        got = np.bincount(labels[items], minlength=n_classes)
         released = []
         for j in range(n_classes):
-            if got[j] > row[j]:
-                released.extend(rng.np.choice(np.flatnonzero(labels == j), got[j] - row[j], replace=False))
-        missing = [j for j in range(n_classes) for _ in range(max(row[j] - got[j], 0))]
+            members = set(items[labels[items] == j].tolist())
+            want = got[j] - row[j]
+            while want > 0:
+                batch = rng.np.integers(0, m, size=min(-(-want * m // len(members)), 1 << 15))
+                for x in batch.tolist():
+                    if want and x in members:
+                        members.remove(x)
+                        released.append(x)
+                        want -= 1
         if released:
-            missing = np.array(missing, dtype=np.uint8)
+            missing = np.repeat(np.arange(n_classes), np.maximum(np.array(row) - got, 0))
             rng.np.shuffle(missing)
             labels[released] = missing
-        for j in range(n_classes):
-            acc[j] |= bits_of(items[labels == j])
-    return [ItemSet(m, a) for a in acc]
+    return [ItemSet.from_numpy_indices(m, np.flatnonzero(labels == j)) for j in range(n_classes)]
 
 
 def random_refinement(m, gen):
@@ -454,6 +486,61 @@ def test_one_row_fix_up_alone_is_uniform():
     assert p >= 0.001, f"position of the fixed-up item is not uniform: p={p}"
 
 
+class CountingGenerator:
+    """A numpy Generator that keeps every uint16 label draw and counts the
+    uniform item draws of the one-row fix-up."""
+
+    def __init__(self, gen):
+        self.gen, self.label_draws, self.item_draws = gen, [], 0
+
+    def integers(self, low, high, size, dtype=np.int64):
+        out = self.gen.integers(low, high, size=size, dtype=dtype)
+        if dtype == np.uint16:
+            self.label_draws.append(out)
+        else:
+            self.item_draws += size
+        return out
+
+    def shuffle(self, x):
+        self.gen.shuffle(x)
+
+
+def test_one_row_sparse_surplus_is_released_uniformly_by_rejection():
+    # One 8-item cell with counts (1, 7) inside m = 70000; the other items
+    # are one-class.  An item of the small cell draws label 0 below the
+    # threshold (1 << 16) // 8, so its labels miss the counts on about 61 %
+    # of the rows, and the fix-up must find the surplus among 8 of 70000
+    # items.  When no item draws label 0, the one item of class 0 is the
+    # one released from class 1.
+    m, rows, buckets = 70_000, 1600, 8
+    small = [5, 9001, 17_500, 26_251, 35_002, 43_750, 52_499, 69_999]
+    cells = [ItemSet.from_indices(m, small), ItemSet.full(m) - ItemSet.from_indices(m, small)]
+    table = [(1, 7), (0, m - 8)]
+    gen = CountingGenerator(RngStream(89, 0).np)
+    draws = sampling.refine_rows(cells, table, types.SimpleNamespace(np=gen), rows)
+    labels = np.concatenate(gen.label_draws).reshape(rows, m)[:, small] < (1 << 16) // 8
+    expected_draws = 0.0
+    every, released = [0] * buckets, [0] * buckets
+    for classes, low in zip(draws, labels):
+        assert [len(c) for c in classes] == [1, m - 1]
+        where = small.index(classes[0].bits.bit_length() - 1)
+        every[where] += 1
+        got = int(low.sum())
+        if got == 0:
+            released[where] += 1
+            expected_draws += m / 8  # d = 1 of the 8 items labelled 1
+        elif got > 1:
+            expected_draws += m * (got - 1) / got  # d = got - 1 of got
+    for name, counts in (("every row", every), ("released", released)):
+        _, _, p = uniform_chi2(counts)
+        assert p >= 0.001, f"{name}: position of class 0's item is not uniform: p={p}"
+    assert sum(released) > 400
+    # Sequential rejection needs about m * d / |S| uniform draws per release;
+    # whole batches of that length cost at most twice as much on average.
+    # An enumeration of the cell would draw none.
+    assert 0.5 * expected_draws <= gen.item_draws <= 2 * expected_draws, (gen.item_draws, expected_draws)
+
+
 def exact_law_p_value(values, pmf):
     """Chi-square p-value of observed values against an exact pmf over
     0, 1, .., with adjacent bins pooled until each expects at least 5."""
@@ -538,6 +625,37 @@ def test_one_row_basis_draw_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
+
+
+@pytest.mark.parametrize("variant", ["nu", "nu_prime"])
+def test_one_row_instance_memory(variant):
+    # One instance at m = 1.6M: the one-row engine holds one cell id per
+    # item, 64 Ki labels per multi-class cell and packed words per call, no
+    # label or index array per row (14.7 MiB before stream version 5).
+    sample_instance(1_600_000, 4, variant, RngStream(3, 0))
+    tracemalloc.start()
+    try:
+        sample_instance(1_600_000, 4, variant, RngStream(3, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 13 * 2**20, f"tracemalloc peak {peak / 2**20:.2f} MiB"
+
+
+def test_one_row_cells_past_255_take_wider_ids():
+    # 300 multi-class cells of about 133 items at m = 40000: the cell ids
+    # need 16 bits, and the rows still draw as the reference does.
+    m, n_cells = 40_000, 300
+    order = np.random.default_rng(17).permutation(m)
+    cells = [ItemSet.from_numpy_indices(m, part) for part in np.array_split(order, n_cells)]
+    table = [(len(c) // 4, len(c) // 2, len(c) - len(c) // 4 - len(c) // 2) for c in cells]
+    words = [np.frombuffer(c.bits.to_bytes(8 * ((m + 63) // 64), "little"), dtype=np.uint64) for c in cells]
+    assert sampling._cell_ids(words, m).dtype == np.uint16
+    got_rng, want_rng = RngStream(23, 0), RngStream(23, 0)
+    for classes in refine_rows(cells, table, got_rng, 2):
+        assert [tuple(len(c & cell) for c in classes) for cell in cells] == table
+        assert classes == reference_one_row_refine_sample(cells, table, want_rng)
+    assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
 
 
 class TestExpectedIntersection:
