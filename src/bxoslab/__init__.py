@@ -9,9 +9,7 @@ from .sampling import (
     pc_ally_avoidance_probability,
     pc_avoidance_probability,
     refine_masks,
-    refine_rows,
     refine_sample,
-    sample_pc,
 )
 from .construction import (
     Basis,

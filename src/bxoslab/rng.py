@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# 2: clause pairs of one basis are drawn as one batch (sampling.refine_rows).
+# 2: clause pairs of one basis are drawn as one batch (multi-row
+#    sampling.refine_masks calls).
 # 3: one-row refinements (m > 32768) draw only the items outside each
 #    cell's largest class.
 # 4: one-row refinements draw i.i.d. per-item labels, then fix the counts.

@@ -7,10 +7,12 @@ constraint factorizes over cells, drawing an independent uniform
 feasible sets; the exhaustive small-universe tests in the suite validate this
 argument directly.
 
-In-cell selection is a uniform permutation, or at large universes i.i.d.
-per-item labels, drawn for the whole universe in item order, whose class
-counts a fix-up by uniform rejection then makes exact; either is exactly
-uniform and runs at C speed for large cells.
+One engine, :func:`refine_masks`, draws every such set, as class 0 of the
+count rows ``(p, |cell| - p)``, and every refinement into more classes that
+``construction`` samples.  In-cell selection is a uniform permutation, or at
+large universes i.i.d. per-item labels, drawn for the whole universe in item
+order, whose class counts a fix-up by uniform rejection then makes exact;
+either is exactly uniform and runs at C speed for large cells.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import comb
+from numbers import Integral
 from operator import index
 from typing import Sequence
 
@@ -51,9 +54,11 @@ def _check_partition(cells: Sequence[ItemSet]) -> None:
 
 def _row_fault(row: Sequence[int], width: int) -> str | None:
     # What is wrong with a count row whatever its cell: a length other than
-    # the table's or a negative count.
+    # the table's, a count that is not an integer or a negative count.
     if len(row) != width:
         return "count rows have inconsistent lengths"
+    if not all(isinstance(cnt, Integral) for cnt in row):
+        return f"class counts {tuple(row)} include a non-integer count"
     if width and min(row) < 0:
         return f"class counts {tuple(row)} include a negative count"
     return None
@@ -92,28 +97,8 @@ class PartitionParameter:
         return self.cells[0].m
 
     @cached_property
-    def _cell_indices(self) -> tuple[np.ndarray, ...]:
-        return tuple(c.indices() for c in self.cells)
-
-    @cached_property
     def _cell_sizes(self) -> tuple[int, ...]:
         return tuple(len(c) for c in self.cells)
-
-
-def sample_pc(param: PartitionParameter, rng: RngStream) -> ItemSet:
-    """Uniform draw over all sets meeting the per-cell counts exactly."""
-    m = param.m
-    bits = 0
-    for cell, items, count in zip(param.cells, param._cell_indices, param.counts):
-        size = items.size
-        if count == 0:
-            continue
-        if count == size:
-            bits |= cell.bits
-            continue
-        chosen = rng.np.permutation(items)[:count]
-        bits |= ItemSet.from_numpy_indices(m, chosen).bits
-    return ItemSet(m, bits)
 
 
 # Item slots drawn in one pass of :func:`refine_masks` (rows x universe size).
@@ -180,7 +165,8 @@ def refine_masks(
 
     The cells must partition the universe; ``class_counts[i]`` gives, for
     cell ``i``, how many of its items land in each of the ``c`` classes, as
-    counts >= 0 that sum to its size (:class:`InvalidParameter` otherwise).
+    integer counts >= 0 that sum to its size (:class:`InvalidParameter`
+    otherwise).
     Within a cell the assignment is uniform over all assignments meeting the
     counts, and cells and refinements are independent.  Returns, per row,
     the ``c`` class masks (item ``i`` is bit ``i``), which partition the
@@ -246,7 +232,11 @@ def refine_masks(
     if rows < 0:
         raise InvalidParameter(f"rows must be >= 0, got {rows}")
     _check_partition(base_cells)
-    plan = _plan(tuple(tuple(map(index, row)) for row in class_counts))
+    try:
+        table = tuple(tuple(map(index, row)) for row in class_counts)
+    except TypeError:
+        table = ()  # a count that is not an integer: the check below names it
+    plan = _plan(table)
     if plan is None or tuple(map(len, base_cells)) != plan.sizes:
         # Partitioning cells miss their table's plan exactly when the rows
         # fail this check, which raises with its own text.
@@ -402,28 +392,16 @@ def _labelled_rows(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int], 
     return out
 
 
-def refine_rows(
-    base_cells: Sequence[ItemSet],
-    class_counts: Sequence[Sequence[int]],
-    rng: RngStream,
-    rows: int,
-) -> list[list[ItemSet]]:
-    """``rows`` independent refinements of the same cells: the class masks
-    of :func:`refine_masks`, with the same arguments, checks and draws, as
-    class sets."""
-    masks = refine_masks(base_cells, class_counts, rng, rows)
-    m = base_cells[0].m
-    return [[ItemSet._new(m, x) for x in row] for row in masks]
-
-
 def refine_sample(
     base_cells: Sequence[ItemSet],
     class_counts: Sequence[Sequence[int]],
     rng: RngStream,
 ) -> list[ItemSet]:
-    """One refinement of the cells: ``refine_rows(..., 1)[0]``, with the
-    same arguments, result and draws."""
-    return refine_rows(base_cells, class_counts, rng, 1)[0]
+    """One refinement of the cells: the class masks of
+    ``refine_masks(..., 1)[0]``, with the same arguments, checks and draws,
+    as class sets."""
+    masks = refine_masks(base_cells, class_counts, rng, 1)[0]
+    return [ItemSet._new(base_cells[0].m, x) for x in masks]
 
 
 def expected_intersection(d: PartitionParameter, d2: PartitionParameter) -> Fraction:

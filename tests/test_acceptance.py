@@ -2,11 +2,13 @@
 
 Criteria 4 and 5 share one batch of five large sampled instances.  Statistical
 checks use significance 0.001 (Bonferroni-corrected inside the equivalence
-driver); exact checks use rational arithmetic throughout.
+driver); exact checks use rational arithmetic throughout.  One more test shows
+that criterion 9's uniformity check rejects a sampler that keeps every count.
 """
 
 import math
 import time
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
 import pytest
@@ -27,12 +29,12 @@ from bxoslab import (
     part_profile,
     recover_theta,
     reference_instance,
+    refine_masks,
     refine_sample,
     sample_basis,
     sample_clause_pair,
     sample_compatible,
     sample_instance,
-    sample_pc,
     sample_special_pair,
     verify_identities,
 )
@@ -224,21 +226,42 @@ def test_criterion_8_information_identities():
     announce(8, f"all identities within 1e-9 over 1000 joints ({elapsed:.2f}s)")
 
 
-def _uniformity_check(param: PartitionParameter, draws: int, seed: int) -> None:
-    """Exhaustive-support chi-square test of the constrained sampler."""
-    m = param.m
+# Rows per refine_masks call when drawing partition parameters, which bounds
+# the rows held at once.
+PC_ROWS_PER_CALL = 1 << 16
+
+
+def pc_masks(param: PartitionParameter, rng: RngStream, draws: int) -> Iterator[int]:
+    """``draws`` uniform draws of ``param``, as bitmasks: class 0 of
+    ``refine_masks`` rows with count rows ``(p, |cell| - p)``."""
+    table = [(p, len(c) - p) for c, p in zip(param.cells, param.counts)]
+    for start in range(0, draws, PC_ROWS_PER_CALL):
+        for row in refine_masks(param.cells, table, rng, min(PC_ROWS_PER_CALL, draws - start)):
+            yield row[0]
+
+
+def uniformity_p_value(param: PartitionParameter, masks: Iterable[int]) -> float:
+    """Exhaustive-support chi-square p-value of drawn masks against the
+    uniform law over every set that meets ``param``'s counts."""
     support = [
         mask
-        for mask in range(1 << m)
+        for mask in range(1 << param.m)
         if all((c.bits & mask).bit_count() == cnt for c, cnt in zip(param.cells, param.counts))
     ]
     index = {mask: i for i, mask in enumerate(support)}
     counts = [0] * len(support)
-    rng = RngStream(seed, 0)
-    for _ in range(draws):
-        counts[index[sample_pc(param, rng).bits]] += 1
-    _, _, p = uniform_chi2(counts)
-    assert p >= 0.001, f"uniformity rejected: p={p}"
+    for mask in masks:
+        counts[index[mask]] += 1
+    return uniform_chi2(counts)[2]
+
+
+def _split(m: int, cut: int, counts: tuple[int, ...]) -> PartitionParameter:
+    # Cells of part_cells: the items from cut on, then those below it.
+    return PartitionParameter(tuple(part_cells(m, [ItemSet.from_indices(m, range(cut))])), counts)
+
+
+# Criterion 9's exhaustive uniformity checks: parameter, draws and seed.
+UNIFORMITY_CHECKS = {"m8": (_split(8, 5, (1, 2)), 1_000_000, 42), "m6": (_split(6, 3, (2, 1)), 200_000, 43)}
 
 
 def test_criterion_9_sampler_correctness():
@@ -247,10 +270,9 @@ def test_criterion_9_sampler_correctness():
     vec16 = constant_vectors(16)
 
     # Profile invariants on every draw, 100k draws total across samplers.
-    param = PartitionParameter(tuple(part_cells(16, [ItemSet.from_indices(16, range(6))])), (4, 3))
-    for _ in range(40_000):
-        u = sample_pc(param, rng)
-        assert tuple((c.bits & u.bits).bit_count() for c in param.cells) == param.counts
+    param = _split(16, 6, (4, 3))
+    for mask in pc_masks(param, rng, 40_000):
+        assert tuple((c.bits & mask).bit_count() for c in param.cells) == param.counts
     cells = part_cells(16, [ItemSet.from_indices(16, range(6))])
     rows = [(4, 3, 3), (2, 2, 2)]
     for _ in range(20_000):
@@ -276,16 +298,14 @@ def test_criterion_9_sampler_correctness():
         assert part_profile(16, (*s.sets(), *t.sets()), a2) == vec16.spec2
 
     # Uniformity over the exhaustively enumerated feasible family.
-    cells8 = tuple(part_cells(8, [ItemSet.from_indices(8, range(5))]))
-    _uniformity_check(PartitionParameter(cells8, (1, 2)), 1_000_000, seed=42)
-    cells6 = tuple(part_cells(6, [ItemSet.from_indices(6, range(3))]))
-    _uniformity_check(PartitionParameter(cells6, (2, 1)), 200_000, seed=43)
+    for name, (param_u, draws, seed) in UNIFORMITY_CHECKS.items():
+        p = uniformity_p_value(param_u, pc_masks(param_u, RngStream(seed, 0), draws))
+        assert p >= 0.001, f"uniformity rejected at {name}: p={p}"
 
     # Independent-inclusion relaxation dominates on avoidance events, with
     # the constrained side computed by exact enumeration.
     for m, cut, counts in ((6, 3, (2, 1)), (8, 5, (2, 1)), (8, 4, (1, 3))):
-        cells_d = tuple(part_cells(m, [ItemSet.from_indices(m, range(cut))]))
-        param_d = PartitionParameter(cells_d, counts)
+        param_d = _split(m, cut, counts)
         support = [
             mask
             for mask in range(1 << m)
@@ -298,3 +318,24 @@ def test_criterion_9_sampler_correctness():
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"runtime {elapsed:.2f}s exceeds 1min"
     announce(9, f"per-draw profiles, uniformity, and domination ({elapsed:.2f}s)")
+
+
+def test_criterion_9_uniformity_check_rejects_a_count_keeping_mutant():
+    # Criterion 9's m = 6 check, fed real refine_masks rows except that one
+    # fixed item of a multi-item cell is always swapped out of the chosen
+    # class for the lowest item the class leaves out of that cell: every
+    # count still holds, but no draw holds that item.
+    param, draws, seed = UNIFORMITY_CHECKS["m6"]
+    cell = param.cells[0]
+    item = min(cell)
+    assert len(cell) > 1
+
+    def mutant():
+        for mask in pc_masks(param, RngStream(seed, 0), draws):
+            if mask >> item & 1:
+                free = cell.bits & ~mask
+                mask ^= (1 << item) | (free & -free)
+            yield mask
+
+    p = uniformity_p_value(param, mutant())
+    assert p < 0.001, f"uniformity check missed the mutant: p={p}"

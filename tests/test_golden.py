@@ -73,7 +73,7 @@ def test_gen_bytes(tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGEST, MISMATCH
 
 
-# m = 1024: batched clause pairs (up to 64 rows per refine_rows chunk).
+# m = 1024: batched clause pairs (up to 64 rows per refine_masks chunk).
 GEN_DIGESTS_M1024 = {
     "nu": "040c8de6d77fbc62f258fae2eef097704dd00da9ffdd585c271cd649133c7587",
     "nu_prime": "fa81d660b3171f8cdfeee45368cb60a721cfaea697463ce7ba51cf871d300a4b",
@@ -88,7 +88,7 @@ def test_gen_bytes_m1024(variant, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M1024[variant], MISMATCH
 
 
-# m = 40000: one clause pair per refine_rows chunk, labelled by i.i.d. draws
+# m = 40000: one clause pair per refine_masks chunk, labelled by i.i.d. draws
 # over the whole universe in item order and fixed up by uniform rejection
 # (stream version 5).
 GEN_DIGESTS_M40000 = {

@@ -17,9 +17,8 @@ from bxoslab import (
     part_cells,
     pc_ally_avoidance_probability,
     pc_avoidance_probability,
-    refine_rows,
+    refine_masks,
     refine_sample,
-    sample_pc,
 )
 from bxoslab import sampling
 from bxoslab.construction import (
@@ -34,6 +33,7 @@ from bxoslab.construction import (
     special_pair_cell_counts,
 )
 from bxoslab.stats import chi2_sf, uniform_chi2
+from test_acceptance import pc_masks
 
 
 def split_param(m, cut, counts):
@@ -62,33 +62,38 @@ class TestPartitionParameter:
         with pytest.raises(InvalidParameter, match="negative"):
             PartitionParameter((ItemSet.full(8),), (-1,))
 
+    @pytest.mark.parametrize("m", [16, 40_000])
+    def test_rejects_non_integer_count(self, m):
+        # Integer-valued floats too: a count must be an integer.
+        for counts in ((1.5, 2.5), (1.0, 2), (1, np.float64(2))):
+            with pytest.raises(InvalidParameter, match="non-integer"):
+                split_param(m, m // 2, counts)
+        assert split_param(m, m // 2, (np.int64(1), 2)).counts == (1, 2)
+
 
 class TestSamplePC:
+    # Partition-constrained draws: class 0 of refine_masks rows (pc_masks).
     def test_full_counts_give_universe(self, rng):
         p = split_param(16, 6, (6, 10))
-        assert sample_pc(p, rng) == ItemSet.full(16)
+        assert list(pc_masks(p, rng, 1)) == [ItemSet.full(16).bits]
 
     def test_zero_counts_give_empty(self, rng):
         p = split_param(16, 6, (0, 0))
-        assert sample_pc(p, rng) == ItemSet.empty(16)
+        assert list(pc_masks(p, rng, 1)) == [0]
 
     def test_profile_invariant_every_draw(self, rng):
         cells = tuple(part_cells(24, [ItemSet.from_indices(24, range(10))]))
         p = PartitionParameter(cells, (4, 7))
-        for _ in range(300):
-            u = sample_pc(p, rng)
-            assert tuple((c.bits & u.bits).bit_count() for c in p.cells) == p.counts
+        for u in pc_masks(p, rng, 300):
+            assert tuple((c.bits & u).bit_count() for c in p.cells) == p.counts
 
     def test_item_frequency_is_symmetric(self):
-        # Single cell of 16, choose 8: item frequency 1/2 within 6 sigma.
+        # Single cell of 16, choose 8: item frequency 1/2 within 6 sigma,
+        # over more draws than one refine_masks call of pc_masks takes.
         p = PartitionParameter((ItemSet.full(16),), (8,))
-        rng = RngStream(5, 0)
         draws = 100_000
-        hits = [0] * 16
-        for _ in range(draws):
-            u = sample_pc(p, rng)
-            for i in u:
-                hits[i] += 1
+        masks = np.fromiter(pc_masks(p, RngStream(5, 0), draws), dtype=np.int64, count=draws)
+        hits = (masks[:, None] >> np.arange(16) & 1).sum(axis=0)
         for h in hits:
             assert abs(h / draws - 0.5) < 0.01
 
@@ -126,7 +131,20 @@ class TestRefineSample:
         with pytest.raises(InvalidParameter, match="negative"):
             refine_sample([ItemSet.full(m)], [(half + 3, -3, half)], rng)
         with pytest.raises(InvalidParameter, match="negative"):
-            refine_rows([ItemSet.full(m)], [(-1, m + 1)], rng, 2)
+            refine_masks([ItemSet.full(m)], [(-1, m + 1)], rng, 2)
+
+    # Rows that sum to the cell's size, so only the integer check rejects
+    # them, also once the same table of ints has a cached plan.
+    @pytest.mark.parametrize("m", [16, 40_000])
+    def test_non_integer_class_count_raises(self, m, rng):
+        half, cells = m // 2, [ItemSet.full(m)]
+        refine_masks(cells, [(half, m - half)], rng, 2)
+        floats = np.array([(half, m - half)], dtype=float)
+        for table in ([(half + 0.5, m - half - 0.5)], [(float(half), m - half)], floats):
+            with pytest.raises(InvalidParameter, match="non-integer"):
+                refine_masks(cells, table, rng, 2)
+        with pytest.raises(InvalidParameter, match="non-integer"):
+            refine_sample(cells, [(half + 0.5, m - half - 0.5)], rng)
 
     # Each row sums to its cell's size, so only the partition check rejects
     # these cells, with PartitionParameter's texts, on both draw paths.
@@ -148,7 +166,7 @@ class TestRefineSample:
         with pytest.raises(InvalidParameter, match=message):
             refine_sample(cells, rows, rng)
         with pytest.raises(InvalidParameter, match=message):
-            refine_rows(cells, rows, rng, 2)
+            refine_masks(cells, rows, rng, 2)
 
     @pytest.mark.parametrize("m", [16, 40_000])
     def test_negative_rows_raise(self, m, rng):
@@ -156,7 +174,7 @@ class TestRefineSample:
         with pytest.raises(InvalidParameter, match="rows must be >= 0, got -1"):
             sampling.refine_masks(cells, table, rng, -1)
         with pytest.raises(InvalidParameter, match="rows must be >= 0"):
-            refine_rows(cells, table, rng, -2)
+            refine_masks(cells, table, rng, -2)
 
     # m = 160 draws in multi-row chunks, m = 40000 one row at a time.
     @pytest.mark.parametrize("m", [160, 40_000])
@@ -305,18 +323,18 @@ def test_refine_rows_meets_the_counts_across_chunks():
     # 48 items give chunks of 1365 rows; the last five rows fall in a second chunk.
     m = 48
     cells, rows = random_refinement(m, np.random.default_rng(1))
-    draws = refine_rows(cells, rows, RngStream(1, 3), (1 << 16) // m + 5)
+    draws = refine_masks(cells, rows, RngStream(1, 3), (1 << 16) // m + 5)
     assert len(draws) == (1 << 16) // m + 5
     for classes in draws:
-        assert [tuple(len(c & cell) for c in classes) for cell in cells] == rows
-    assert len({tuple(c.bits for c in classes) for classes in draws}) > 1000
+        assert [tuple((c & cell.bits).bit_count() for c in classes) for cell in cells] == rows
+    assert len({tuple(classes) for classes in draws}) > 1000
 
 
-def reference_refine_rows(base_cells, class_counts, rng, rows):
-    """Multi-row refinement of stream version 4: rows in chunks of
-    ``(1 << 16) // m``; per chunk, per multi-class cell in order, per row of
-    the chunk, one ``permutation`` of the cell's ascending items, whose
-    consecutive blocks go to the classes in class order."""
+def reference_refine_masks(base_cells, class_counts, rng, rows):
+    """Multi-row refinement of stream version 4, as class masks: rows in
+    chunks of ``(1 << 16) // m``; per chunk, per multi-class cell in order,
+    per row of the chunk, one ``permutation`` of the cell's ascending items,
+    whose consecutive blocks go to the classes in class order."""
     m = base_cells[0].m
     n_classes = len(class_counts[0])
     chunk = (1 << 16) // m
@@ -340,13 +358,13 @@ def reference_refine_rows(base_cells, class_counts, rng, rows):
                     for i in perm[pos : pos + cnt]:
                         bits[j] |= 1 << i
                     pos += cnt
-        out.extend([ItemSet(m, b) for b in bits] for bits in acc)
+        out.extend(acc)
     return out
 
 
 def assert_same_draws(cells, table, rows, seed):
     got_rng, want_rng = RngStream(seed, 5), RngStream(seed, 5)
-    assert refine_rows(cells, table, got_rng, rows) == reference_refine_rows(cells, table, want_rng, rows)
+    assert refine_masks(cells, table, got_rng, rows) == reference_refine_masks(cells, table, want_rng, rows)
     # Both consumed the same draws.
     assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
 
@@ -385,12 +403,13 @@ def test_refine_rows_reuses_one_plan_per_table():
 
 @pytest.mark.parametrize("m", [160, 40_000])
 def test_refine_rows_takes_a_numpy_count_table(m):
-    # A table of numpy integers draws as the same table of ints does, and
-    # its sets have an int universe size.
+    # A table of numpy integers draws as the same table of ints does, into
+    # int masks and sets with an int universe size.
     cells, table = random_refinement(m, np.random.default_rng(7))
-    got = refine_rows(cells, np.array(table), RngStream(3, 5), 3)
-    assert got == refine_rows(cells, table, RngStream(3, 5), 3)
-    assert {type(s.m) for row in got for s in row} == {int}
+    got = refine_masks(cells, np.array(table), RngStream(3, 5), 3)
+    assert got == refine_masks(cells, table, RngStream(3, 5), 3)
+    assert {type(x) for row in got for x in row} == {int}
+    assert {type(s.m) for s in refine_sample(cells, np.array(table), RngStream(3, 5))} == {int}
 
 
 @pytest.mark.parametrize("m", [48, 40_000])
@@ -402,7 +421,7 @@ def test_a_cached_table_rejects_cells_that_do_not_fit(m, change, rng):
     # The table's plan is cached by a valid call first; cells that do not
     # fit it raise with the texts of the checks that PartitionParameter uses.
     cells, table = random_refinement(m, np.random.default_rng(5))
-    refine_rows(cells, table, rng, 2)
+    refine_masks(cells, table, rng, 2)
     a, b = [i for i, c in enumerate(cells) if len(c) >= 2][:2]
     x, y = cells[a].indices()[0], cells[b].indices()[0]
     bad = list(cells)
@@ -420,7 +439,7 @@ def test_a_cached_table_rejects_cells_that_do_not_fit(m, change, rng):
         message = "cells are not pairwise disjoint"
     for rows in (1, 2):
         with pytest.raises(InvalidParameter) as info:
-            refine_rows(bad, table, rng, rows)
+            refine_masks(bad, table, rng, rows)
         assert str(info.value) == message
 
 
@@ -463,8 +482,8 @@ def test_one_row_chunks_are_uniform(toy, monkeypatch):
     support = refinement_support(cells, rows)
     assert len(support) == size
     counts = [0] * size
-    for classes in refine_rows(cells, rows, RngStream(61, 0), 150 * size):
-        key = tuple(c.bits for c in classes)
+    for classes in refine_masks(cells, rows, RngStream(61, 0), 150 * size):
+        key = tuple(classes)
         assert key in support, f"refinement outside the counts: {classes}"
         counts[support[key]] += 1
     _, _, p = uniform_chi2(counts)
@@ -517,13 +536,13 @@ def test_one_row_sparse_surplus_is_released_uniformly_by_rejection():
     cells = [ItemSet.from_indices(m, small), ItemSet.full(m) - ItemSet.from_indices(m, small)]
     table = [(1, 7), (0, m - 8)]
     gen = CountingGenerator(RngStream(89, 0).np)
-    draws = sampling.refine_rows(cells, table, types.SimpleNamespace(np=gen), rows)
+    draws = refine_masks(cells, table, types.SimpleNamespace(np=gen), rows)
     labels = np.concatenate(gen.label_draws).reshape(rows, m)[:, small] < (1 << 16) // 8
     expected_draws = 0.0
     every, released = [0] * buckets, [0] * buckets
     for classes, low in zip(draws, labels):
-        assert [len(c) for c in classes] == [1, m - 1]
-        where = small.index(classes[0].bits.bit_length() - 1)
+        assert [c.bit_count() for c in classes] == [1, m - 1]
+        where = small.index(classes[0].bit_length() - 1)
         every[where] += 1
         got = int(low.sum())
         if got == 0:
@@ -652,9 +671,9 @@ def test_one_row_cells_past_255_take_wider_ids():
     words = [np.frombuffer(c.bits.to_bytes(8 * ((m + 63) // 64), "little"), dtype=np.uint64) for c in cells]
     assert sampling._cell_ids(words, m).dtype == np.uint16
     got_rng, want_rng = RngStream(23, 0), RngStream(23, 0)
-    for classes in refine_rows(cells, table, got_rng, 2):
-        assert [tuple(len(c & cell) for c in classes) for cell in cells] == table
-        assert classes == reference_one_row_refine_sample(cells, table, want_rng)
+    for classes in refine_masks(cells, table, got_rng, 2):
+        assert [tuple((c & cell.bits).bit_count() for c in classes) for cell in cells] == table
+        assert classes == [s.bits for s in reference_one_row_refine_sample(cells, table, want_rng)]
     assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
 
 
@@ -745,8 +764,8 @@ class TestConcentration:
         low_bar = float(delta) - eps * m
         total = 0
         low = 0
-        for _ in range(draws):
-            overlap = sample_pc(pa, rng_a).intersection_size(sample_pc(pb, rng_b))
+        for a, b in zip(pc_masks(pa, rng_a, draws), pc_masks(pb, rng_b, draws)):
+            overlap = (a & b).bit_count()
             total += overlap
             if overlap < low_bar:
                 low += 1
@@ -760,13 +779,11 @@ class TestConcentration:
 class TestDeterminism:
     def test_same_stream_same_draws(self):
         p = split_param(32, 20, (9, 5))
-        a = [sample_pc(p, RngStream(11, 3)) for _ in range(1)]
-        b = [sample_pc(p, RngStream(11, 3)) for _ in range(1)]
-        assert a == b
+        assert list(pc_masks(p, RngStream(11, 3), 1)) == list(pc_masks(p, RngStream(11, 3), 1))
 
     def test_distinct_streams_differ(self):
         p = split_param(64, 40, (17, 11))
-        assert sample_pc(p, RngStream(11, 3)) != sample_pc(p, RngStream(11, 4))
+        assert list(pc_masks(p, RngStream(11, 3), 1)) != list(pc_masks(p, RngStream(11, 4), 1))
 
     def test_child_streams_are_stable(self):
         r1 = RngStream(9, 0).child(5)
