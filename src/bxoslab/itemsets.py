@@ -137,8 +137,6 @@ class ItemSet:
         return 0 <= item < self.m and (self.bits >> item) & 1 == 1
 
     def __iter__(self) -> Iterator[int]:
-        if self.m <= 64:
-            return _low_bits(self.bits)
         return iter(self.indices().tolist())
 
     def __and__(self, other: "ItemSet") -> "ItemSet":
@@ -177,15 +175,6 @@ class ItemSet:
         if self.m <= 64:
             return f"ItemSet({self.m}, {{{','.join(map(str, self))}}})"
         return f"ItemSet(m={self.m}, |.|={len(self)})"
-
-
-def _low_bits(bits: int) -> Iterator[int]:
-    # Set bits in ascending order, lowest first: no array round trip, which
-    # costs more than this walk on sets of up to a word.
-    while bits:
-        low = bits & -bits
-        yield low.bit_length() - 1
-        bits ^= low
 
 
 def _cell_bits(m: int, sets: Sequence[ItemSet], start: int) -> list[int]:

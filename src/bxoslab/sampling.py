@@ -22,7 +22,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import comb
-from numbers import Integral
 from operator import index
 from typing import Sequence
 
@@ -52,32 +51,6 @@ def _check_partition(cells: Sequence[ItemSet]) -> None:
         raise InvalidParameter("cells do not cover the universe")
 
 
-def _row_fault(row: Sequence[int], width: int) -> str | None:
-    # What is wrong with a count row whatever its cell: a length other than
-    # the table's, a count that is not an integer or a negative count.
-    if len(row) != width:
-        return "count rows have inconsistent lengths"
-    if not all(isinstance(cnt, Integral) for cnt in row):
-        return f"class counts {tuple(row)} include a non-integer count"
-    if width and min(row) < 0:
-        return f"class counts {tuple(row)} include a negative count"
-    return None
-
-
-def _check_count_rows(cells: Sequence[ItemSet], rows: Sequence[Sequence[int]]) -> None:
-    # One row per cell, all of one length, with counts >= 0 that sum to the
-    # cell's size.
-    if len(rows) != len(cells):
-        raise InvalidParameter("one count row per cell is required")
-    width = len(rows[0])
-    for cell, row in zip(cells, rows):
-        fault = _row_fault(row, width)
-        if fault:
-            raise InvalidParameter(fault)
-        if sum(row) != len(cell):
-            raise InvalidParameter(f"class counts {tuple(row)} do not sum to cell size {len(cell)}")
-
-
 @dataclass(frozen=True)
 class PartitionParameter:
     """A partition of the universe plus one prescribed count per cell."""
@@ -86,11 +59,10 @@ class PartitionParameter:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_partition(self.cells)
         if len(self.counts) != len(self.cells):
             raise InvalidParameter("one count per cell is required")
         # 0 <= p <= |cell|: the cell splits into p chosen and |cell| - p other items.
-        _check_count_rows(self.cells, [(p, len(c) - p) for c, p in zip(self.cells, self.counts)])
+        _checked_plan(self.cells, [(p, len(c) - p) for c, p in zip(self.cells, self.counts)])
 
     @property
     def m(self) -> int:
@@ -117,9 +89,19 @@ class _Plan:
     """What a count table alone fixes about a refinement (see refine_masks):
     the cell sizes, and with them the universe size, its rows must match;
     the one-class cells as ``(cell, class)``; the multi-class cells as
-    ``(cell, a, b)``, side by side as the columns ``a:b`` of ``total``."""
+    ``(cell, a, b)``, side by side as the columns ``a:b`` of ``total``.
+    A table with no rows, rows of different lengths or a negative count
+    raises :class:`InvalidParameter` here, so the cache holds plans only of
+    tables that pass these checks."""
 
     def __init__(self, table: tuple[tuple[int, ...], ...]) -> None:
+        if not table:
+            raise InvalidParameter("one count row per cell is required")
+        for row in table:
+            if len(row) != len(table[0]):
+                raise InvalidParameter("count rows have inconsistent lengths")
+            if row and min(row) < 0:
+                raise InvalidParameter(f"class counts {row} include a negative count")
         self.table = table
         self.sizes = tuple(sum(row) for row in table)
         self.m = sum(self.sizes)
@@ -146,13 +128,32 @@ class _Plan:
         return np.repeat(np.tile(offsets, len(rows)), [cnt for row in rows for cnt in row])
 
 
-@lru_cache(maxsize=64)
-def _plan(table: tuple[tuple[int, ...], ...]) -> _Plan | None:
-    # None for a table that no cells fit whatever their sizes: no rows, or
-    # a row that _check_count_rows rejects on its own.
-    if not table or any(_row_fault(row, len(table[0])) for row in table):
-        return None
-    return _Plan(table)
+# One plan per count table; a rejected table raises and is not cached.
+_plan = lru_cache(maxsize=64)(_Plan)
+
+
+def _int_row(row: Sequence[int]) -> tuple[int, ...]:
+    # A count row as ints, the plan's cache key; a count that is not an
+    # integer raises at once.
+    try:
+        return tuple(map(index, row))
+    except TypeError:
+        raise InvalidParameter(f"class counts {tuple(row)} include a non-integer count") from None
+
+
+def _checked_plan(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]]) -> _Plan:
+    # The one entry check of a refinement: cells that partition the
+    # universe, integer count rows that the plan accepts, and one row per
+    # cell that sums to its size.
+    _check_partition(cells)
+    plan = _plan(tuple(map(_int_row, class_counts)))
+    sizes = tuple(map(len, cells))
+    if sizes != plan.sizes:
+        if len(sizes) != len(plan.sizes):
+            raise InvalidParameter("one count row per cell is required")
+        row, size = next((row, size) for row, want, size in zip(plan.table, plan.sizes, sizes) if want != size)
+        raise InvalidParameter(f"class counts {row} do not sum to cell size {size}")
+    return plan
 
 
 def refine_masks(
@@ -194,8 +195,9 @@ def refine_masks(
     cells at once and broadcasts their items to every row of the chunk;
     after the draws, one add of the plan's class offsets and the row
     offsets places each item in its (row, class) block, and one set built
-    from all of them holds every class mask.  Cells or counts that miss the
-    plan raise what :class:`PartitionParameter`'s checks raise.
+    from all of them holds every class mask.  This call and
+    :class:`PartitionParameter` both call one entry check, so cells or
+    counts that miss the plan raise the same errors in both.
 
     Where every chunk is one row (``m > _BATCH_ITEMS // 2``), a row works
     in item order.  Unless every cell lands in one class, it draws
@@ -231,16 +233,7 @@ def refine_masks(
     """
     if rows < 0:
         raise InvalidParameter(f"rows must be >= 0, got {rows}")
-    _check_partition(base_cells)
-    try:
-        table = tuple(tuple(map(index, row)) for row in class_counts)
-    except TypeError:
-        table = ()  # a count that is not an integer: the check below names it
-    plan = _plan(table)
-    if plan is None or tuple(map(len, base_cells)) != plan.sizes:
-        # Partitioning cells miss their table's plan exactly when the rows
-        # fail this check, which raises with its own text.
-        _check_count_rows(base_cells, class_counts)
+    plan = _checked_plan(base_cells, class_counts)
     m, n_classes = plan.m, plan.n_classes
     # Whole cells that land in one class, as bits shared by every row.
     fixed = [0] * n_classes

@@ -197,15 +197,12 @@ class TestRefineSample:
 
     def test_class_membership_frequency(self):
         # Cell of 5, classes (2, 2, 1): each item lands in class 0 with
-        # frequency 2/5, by exchangeability.
+        # frequency 2/5, by exchangeability.  Drawn as batched rows.
         m = 5
-        rng = RngStream(7, 0)
         draws = 100_000
-        hits = [0] * m
-        for _ in range(draws):
-            classes = refine_sample([ItemSet.full(m)], [(2, 2, 1)], rng)
-            for i in classes[0]:
-                hits[i] += 1
+        rows = refine_masks([ItemSet.full(m)], [(2, 2, 1)], RngStream(7, 0), draws)
+        masks = np.fromiter((row[0] for row in rows), dtype=np.int64, count=draws)
+        hits = (masks[:, None] >> np.arange(m) & 1).sum(axis=0)
         for h in hits:
             assert abs(h / draws - 0.4) < 0.01
 
@@ -398,6 +395,34 @@ def test_refine_rows_reuses_one_plan_per_table():
     assert_same_draws(others, as_tuple, 7, 2)
     assert_same_draws(cells, as_tuple, 2, 3)
     assert_same_draws(others, as_lists, 2, 4)
+    assert sampling._plan.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("m", [16, 40_000])
+def test_a_rejected_table_is_not_cached(m):
+    # Count tables that no cells fit raise before they have a plan, so the
+    # plan cache holds only valid tables; a cached valid table still draws
+    # as the reference does.  The cache starts empty, so that an entry for
+    # a rejected table would show in its size.
+    reference = reference_refine_sample if m <= (1 << 16) // 2 else reference_one_row_refine_sample
+    cells, table = random_refinement(m, np.random.default_rng(13))
+    first = table[0]
+    rejected = [
+        ([(first[0] + first[1] + 1, -1, *first[2:]), *table[1:]], "negative"),
+        ([first[:3], *table[1:]], "count rows have inconsistent lengths"),
+        ([], "one count row per cell is required"),
+    ]
+    sampling._plan.cache_clear()
+    refine_masks(cells, table, RngStream(13, 0), 1)
+    size = sampling._plan.cache_info().currsize
+    for bad, message in rejected:
+        with pytest.raises(InvalidParameter, match=message):
+            refine_masks(cells, bad, RngStream(13, 1), 2)
+        assert sampling._plan.cache_info().currsize == size
+    misses = sampling._plan.cache_info().misses
+    got_rng, want_rng = RngStream(13, 3), RngStream(13, 3)
+    assert refine_sample(cells, table, got_rng) == reference(cells, table, want_rng)
+    assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
     assert sampling._plan.cache_info().misses == misses
 
 
