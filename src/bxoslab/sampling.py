@@ -144,7 +144,8 @@ def _int_row(row: Sequence[int]) -> tuple[int, ...]:
 def _checked_plan(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]]) -> _Plan:
     # The one entry check of a refinement: cells that partition the
     # universe, integer count rows that the plan accepts, and one row per
-    # cell that sums to its size.
+    # cell that sums to its size.  A PartitionParameter's table passes
+    # through here too, so each valid one also takes a plan-cache entry.
     _check_partition(cells)
     plan = _plan(tuple(map(_int_row, class_counts)))
     sizes = tuple(map(len, cells))

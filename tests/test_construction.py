@@ -4,6 +4,7 @@ from dataclasses import replace
 from fractions import Fraction
 from math import factorial, isclose, sqrt
 
+import numpy as np
 import pytest
 
 from bxoslab import (
@@ -296,11 +297,8 @@ class TestSamplers:
     def test_basis_item_symmetry(self):
         rng = RngStream(31, 0)
         draws = 100_000
-        hits = [0] * 16
-        for _ in range(draws):
-            b = sample_basis(16, rng)
-            for i in b.s1:
-                hits[i] += 1
+        masks = np.fromiter((sample_basis(16, rng).s1.bits for _ in range(draws)), dtype=np.int64, count=draws)
+        hits = (masks[:, None] >> np.arange(16) & 1).sum(axis=0)
         for h in hits:
             assert abs(h / draws - 0.5) < 0.01  # >6 sigma slack at 1e5 draws
 
@@ -415,15 +413,15 @@ class TestSamplerUniformity:
         cells = [set(c) for c in part_cells(16, s.sets())]
         support = {}
         for classes in _enumerate_by_cells(cells, compatible_cell_counts(16)):
-            t1 = frozenset(classes[2] | classes[3])
-            t2 = frozenset(classes[1] | classes[3])
-            support[(t1, t2)] = len(support)
+            t1 = ItemSet.from_indices(16, classes[2] | classes[3])
+            t2 = ItemSet.from_indices(16, classes[1] | classes[3])
+            support[(t1.bits, t2.bits)] = len(support)
         assert len(support) == 450
         rng = RngStream(51, 0)
         counts = [0] * len(support)
         for _ in range(90_000):
             t = sample_compatible(s, rng)
-            counts[support[(frozenset(t.s1), frozenset(t.s2))]] += 1
+            counts[support[(t.s1.bits, t.s2.bits)]] += 1
         _, _, p = uniform_chi2(counts)
         assert p >= 0.001, f"uniformity over compatible bases rejected: p={p}"
 
@@ -436,15 +434,15 @@ class TestSamplerUniformity:
         cells = [set(c) for c in part_cells(16, (*s.sets(), *t.sets()))]
         support = {}
         for classes in _enumerate_by_cells(cells, special_pair_cell_counts(16)):
-            a1 = frozenset(classes[0] | classes[1])
-            a2 = frozenset(classes[0] | classes[2])
-            support[(a1, a2)] = len(support)
+            a1 = ItemSet.from_indices(16, classes[0] | classes[1])
+            a2 = ItemSet.from_indices(16, classes[0] | classes[2])
+            support[(a1.bits, a2.bits)] = len(support)
         assert len(support) == 36
         rng = RngStream(52, 0)
         counts = [0] * len(support)
         for _ in range(20_000):
             a1, a2 = sample_special_pair(s, t, rng)
-            counts[support[(frozenset(a1), frozenset(a2))]] += 1
+            counts[support[(a1.bits, a2.bits)]] += 1
         _, _, p = uniform_chi2(counts)
         assert p >= 0.001, f"uniformity over special pairs rejected: p={p}"
 
