@@ -40,7 +40,6 @@ from .valuations import (
     build_valuations,
     opt_bruteforce,
     opt_clause_pair,
-    opt_value,
     oracle_allocation,
     recover_theta,
 )

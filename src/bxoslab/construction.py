@@ -24,7 +24,7 @@ from typing import Iterable, Literal, Sequence
 
 from .itemsets import ItemSet, UniverseMismatch, part_cells, part_profile
 from .rng import RngStream
-from .sampling import refine_masks
+from .sampling import InvalidParameter, _draw, _plan
 
 Variant = Literal["nu", "nu_prime"]
 VARIANTS = ("nu", "nu_prime")
@@ -220,9 +220,10 @@ def second_basis_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
     return _blocks([opt[16 * s + 4 * t + a] for s in range(4) for a in range(4) for t in range(4)])
 
 
-# The samplers below build only the sets they keep, unions of the class masks
-# that refine_masks draws over their m-item universe, so ItemSet._new's
-# condition holds; Basis still checks its own profile.
+# The samplers below skip refine_masks's entry check and draw with its engine,
+# sampling._draw, from partitions built and size-checked here; sample_instance
+# validates what they drew.  They build only the sets they keep, unions of the
+# class masks, so ItemSet._new's condition holds; Basis checks its own profile.
 
 
 def _basis_from_pattern_classes(m: int, classes: Sequence[int]) -> Basis:
@@ -232,13 +233,13 @@ def _basis_from_pattern_classes(m: int, classes: Sequence[int]) -> Basis:
 
 def sample_basis(m: int, rng: RngStream) -> Basis:
     """Uniform draw over all bases."""
-    classes = refine_masks([ItemSet.full(m)], [constant_vectors(m).basis], rng, 1)[0]
+    classes = _draw(_plan((constant_vectors(m).basis,)), [(1 << m) - 1], rng, 1)[0]
     return _basis_from_pattern_classes(m, classes)
 
 
 def sample_compatible(base: Basis, rng: RngStream) -> Basis:
     """Uniform draw over bases the given basis is compatible with."""
-    classes = refine_masks(base.cells, compatible_cell_counts(base.m), rng, 1)[0]
+    classes = _draw(_plan(compatible_cell_counts(base.m)), [c.bits for c in base.cells], rng, 1)[0]
     return _basis_from_pattern_classes(base.m, classes)
 
 
@@ -249,15 +250,17 @@ def _pair_from_joint_classes(m: int, classes: Sequence[int]) -> tuple[ItemSet, I
 
 def sample_clause_pairs(base: Basis, rng: RngStream, count: int) -> list[tuple[ItemSet, ItemSet]]:
     """``count`` independent uniform clause pairs with respect to the basis,
-    drawn as one batch of the mask engine :func:`refine_masks` (whose
+    drawn as one batch of the mask engine behind ``refine_masks`` (whose
     docstring gives the order); each pair is built from its row's masks.
 
     The first component of each pair is a clause with respect to the basis,
     the second with respect to its reversal, and their overlap profile is
     fixed.
     """
+    if count < 0:
+        raise InvalidParameter(f"count must be >= 0, got {count}")
     m = base.m
-    rows = refine_masks(base.cells, clause_pair_cell_counts(m), rng, count)
+    rows = _draw(_plan(clause_pair_cell_counts(m)), [c.bits for c in base.cells], rng, count)
     return [_pair_from_joint_classes(m, classes) for classes in rows]
 
 
@@ -269,8 +272,7 @@ def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
 def sample_special_pair(s: Basis, t: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
     """Uniform draw over special clause pairs for a compatible basis pair."""
     m = s.m
-    cells = [ItemSet._new(m, c) for c in _compatible_cells(s, t)]
-    classes = refine_masks(cells, special_pair_cell_counts(m), rng, 1)[0]
+    classes = _draw(_plan(special_pair_cell_counts(m)), _compatible_cells(s, t), rng, 1)[0]
     return _pair_from_joint_classes(m, classes)
 
 
@@ -282,7 +284,7 @@ def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> B
     cells = part_cells(m, (*s.sets(), a1, a2))
     if tuple(len(c) for c in cells) != vec.pair_profile:
         raise ConstructionError("sets do not form a clause pair for this basis")
-    classes = refine_masks(cells, second_basis_cell_counts(m), rng, 1)[0]
+    classes = _draw(_plan(second_basis_cell_counts(m)), [c.bits for c in cells], rng, 1)[0]
     return _basis_from_pattern_classes(m, classes)
 
 

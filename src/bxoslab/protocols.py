@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 from .construction import Basis, Instance, _joint_cells, _profile, constant_vectors
 from .itemsets import ItemSet
 from .rng import _mix64
-from .valuations import Allocation, BXOSValuation, build_valuations, opt_value
+from .valuations import Allocation, BXOSValuation, build_valuations, opt_clause_pair
 
 Message = str
 Transcript = tuple[Message, ...]
@@ -147,7 +147,7 @@ def welfare(outcome: ProtocolOutcome, va: BXOSValuation, vb: BXOSValuation) -> i
 
 def approx_ratio(outcome: ProtocolOutcome, va: BXOSValuation, vb: BXOSValuation) -> Fraction:
     """Achieved welfare over the exact optimum, as an exact rational."""
-    return Fraction(welfare(outcome, va, vb), opt_value(va, vb))
+    return Fraction(welfare(outcome, va, vb), opt_clause_pair(va, vb)[2])
 
 
 @dataclass(frozen=True)

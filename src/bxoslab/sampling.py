@@ -7,17 +7,17 @@ constraint factorizes over cells, drawing an independent uniform
 feasible sets; the exhaustive small-universe tests in the suite validate this
 argument directly.
 
-One engine, :func:`refine_masks`, draws every such set, as class 0 of the
-count rows ``(p, |cell| - p)``, and every refinement into more classes that
-``construction`` samples.  In-cell selection is a uniform permutation, or at
-large universes i.i.d. per-item labels, drawn for the whole universe in item
+One engine, behind :func:`refine_masks`, draws every such set, as class 0 of
+the count rows ``(p, |cell| - p)``, and every refinement into more classes
+that ``construction`` samples.  In-cell selection is a uniform permutation, or
+at large universes i.i.d. per-item labels, drawn for the whole universe in item
 order, whose class counts a fix-up by uniform rejection then makes exact;
 either is exactly uniform and runs at C speed for large cells.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
@@ -57,20 +57,19 @@ class PartitionParameter:
 
     cells: tuple[ItemSet, ...]
     counts: tuple[int, ...]
+    # The cell sizes, as the entry check counted them.
+    sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.counts) != len(self.cells):
             raise InvalidParameter("one count per cell is required")
         # 0 <= p <= |cell|: the cell splits into p chosen and |cell| - p other items.
-        _checked_plan(self.cells, [(p, len(c) - p) for c, p in zip(self.cells, self.counts)])
+        plan = _checked_plan(self.cells, [(p, len(c) - p) for c, p in zip(self.cells, self.counts)])
+        object.__setattr__(self, "sizes", plan.sizes)
 
     @property
     def m(self) -> int:
         return self.cells[0].m
-
-    @cached_property
-    def _cell_sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.cells)
 
 
 # Item slots drawn in one pass of :func:`refine_masks` (rows x universe size).
@@ -142,19 +141,21 @@ def _int_row(row: Sequence[int]) -> tuple[int, ...]:
 
 
 def _checked_plan(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]]) -> _Plan:
-    # The one entry check of a refinement: cells that partition the
-    # universe, integer count rows that the plan accepts, and one row per
-    # cell that sums to its size.  A PartitionParameter's table passes
-    # through here too, so each valid one also takes a plan-cache entry.
+    # The entry check of refine_masks and PartitionParameter: cells that
+    # partition the universe, integer count rows that the plan accepts, and
+    # one row per cell that sums to its size.  Only a call that passes (a
+    # valid PartitionParameter too) leaves a plan in the cache.
     _check_partition(cells)
-    plan = _plan(tuple(map(_int_row, class_counts)))
+    table = tuple(map(_int_row, class_counts))
     sizes = tuple(map(len, cells))
-    if sizes != plan.sizes:
-        if len(sizes) != len(plan.sizes):
-            raise InvalidParameter("one count row per cell is required")
-        row, size = next((row, size) for row, want, size in zip(plan.table, plan.sizes, sizes) if want != size)
-        raise InvalidParameter(f"class counts {row} do not sum to cell size {size}")
-    return plan
+    if tuple(map(sum, table)) == sizes:
+        return _plan(table)
+    # The table's own faults come first, from an uncached plan.
+    plan = _Plan(table)
+    if len(sizes) != len(plan.sizes):
+        raise InvalidParameter("one count row per cell is required")
+    row, size = next((row, size) for row, want, size in zip(plan.table, plan.sizes, sizes) if want != size)
+    raise InvalidParameter(f"class counts {row} do not sum to cell size {size}")
 
 
 def refine_masks(
@@ -168,7 +169,10 @@ def refine_masks(
     The cells must partition the universe; ``class_counts[i]`` gives, for
     cell ``i``, how many of its items land in each of the ``c`` classes, as
     integer counts >= 0 that sum to its size (:class:`InvalidParameter`
-    otherwise).
+    otherwise).  :class:`PartitionParameter` makes the same entry check, so
+    both raise the same errors.  ``construction``'s samplers skip it and
+    call the engine, ``_draw``: each of their partitions is checked once,
+    where it is built, and ``Instance.validate`` recounts what they drew.
     Within a cell the assignment is uniform over all assignments meeting the
     counts, and cells and refinements are independent.  Returns, per row,
     the ``c`` class masks (item ``i`` is bit ``i``), which partition the
@@ -191,14 +195,11 @@ def refine_masks(
     What the count table alone fixes is its plan, built once per table and
     cached: the count-row checks, the cell sizes the rows must match, the
     one-class and multi-class cells, the multi-class cells' columns of one
-    index array and each column's class.  A call checks that its cells
-    partition the universe with the plan's sizes, unpacks all multi-class
+    index array and each column's class.  A call unpacks all multi-class
     cells at once and broadcasts their items to every row of the chunk;
     after the draws, one add of the plan's class offsets and the row
     offsets places each item in its (row, class) block, and one set built
-    from all of them holds every class mask.  This call and
-    :class:`PartitionParameter` both call one entry check, so cells or
-    counts that miss the plan raise the same errors in both.
+    from all of them holds every class mask.
 
     Where every chunk is one row (``m > _BATCH_ITEMS // 2``), a row works
     in item order.  Unless every cell lands in one class, it draws
@@ -235,16 +236,25 @@ def refine_masks(
     if rows < 0:
         raise InvalidParameter(f"rows must be >= 0, got {rows}")
     plan = _checked_plan(base_cells, class_counts)
+    return _draw(plan, [c.bits for c in base_cells], rng, rows)
+
+
+def _draw(plan: _Plan, cells: Sequence[int], rng: RngStream, rows: int) -> list[list[int]]:
+    # refine_masks without its entry check, from int cell masks, rows >= 0.
+    # The caller owes cells that partition the universe with the plan's
+    # sizes: on others a multi-row chunk misses the counts, and a one-row
+    # chunk may never return, as it takes a cell's last class count from the
+    # plan's size and _release then waits for items that are not there.
     m, n_classes = plan.m, plan.n_classes
     # Whole cells that land in one class, as bits shared by every row.
     fixed = [0] * n_classes
     for i, j in plan.fixed:
-        fixed[j] |= base_cells[i].bits
+        fixed[j] |= cells[i]
     if not plan.multi or not rows:
         return [list(fixed) for _ in range(rows)]
     chunk = max(1, _BATCH_ITEMS // m)
     if chunk == 1:
-        return _labelled_rows(plan, base_cells, fixed, rng, rows)
+        return _labelled_rows(plan, cells, fixed, rng, rows)
     nbytes = (m + 7) // 8
     # Item x that lands in class j in row i of a chunk is item
     # (i * n_classes + j) * width + x of one universe: every (row, class)
@@ -252,7 +262,7 @@ def refine_masks(
     # of the chunk's class masks, in that order.
     width = 8 * nbytes
     # The multi-class cells' items, side by side in one row: one unpack.
-    raw = b"".join(base_cells[i].bits.to_bytes(nbytes, "little") for i, _, _ in plan.multi)
+    raw = b"".join(cells[i].to_bytes(nbytes, "little") for i, _, _ in plan.multi)
     grid = np.frombuffer(raw, dtype=np.uint8).reshape(len(plan.multi), nbytes)
     items = np.unpackbits(grid, axis=1, count=m, bitorder="little").nonzero()[1]
     out: list[list[int]] = []
@@ -324,7 +334,7 @@ def _release(members: np.ndarray, left: int, d: int, m: int, rng: RngStream) -> 
     return list(taken)
 
 
-def _labelled_rows(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int], rng: RngStream, rows: int) -> list[list[int]]:
+def _labelled_rows(plan: _Plan, cells: Sequence[int], fixed: Sequence[int], rng: RngStream, rows: int) -> list[list[int]]:
     # One-row chunks (see refine_masks).  The multi-class cells, the classes
     # of the current row and one scratch row are packed into 64-bit words,
     # rows of one array made once per call, so a (cell, class) count is one
@@ -334,7 +344,7 @@ def _labelled_rows(plan: _Plan, cells: Sequence[ItemSet], fixed: Sequence[int], 
     words = np.zeros((n_multi + n_classes + 1, nwords), dtype=np.uint64)
     cell_words, packed, word = words[:n_multi], words[n_multi:-1], words[-1]
     for k, (i, _, _) in enumerate(plan.multi):
-        cell_words[k] = np.frombuffer(cells[i].bits.to_bytes(8 * nwords, "little"), dtype=np.uint64)
+        cell_words[k] = np.frombuffer(cells[i].to_bytes(8 * nwords, "little"), dtype=np.uint64)
     as_bytes = packed.view(np.uint8)
     cid = _cell_ids(cell_words, m)
     table = _label_table(plan)
@@ -407,10 +417,10 @@ def expected_intersection(d: PartitionParameter, d2: PartitionParameter) -> Frac
     if d.m != d2.m:
         raise UniverseMismatch("parameters live over different universes")
     total = Fraction(0)
-    for cell, size, count in zip(d.cells, d._cell_sizes, d.counts):
+    for cell, size, count in zip(d.cells, d.sizes, d.counts):
         if size == 0 or count == 0:
             continue
-        for cell2, size2, count2 in zip(d2.cells, d2._cell_sizes, d2.counts):
+        for cell2, size2, count2 in zip(d2.cells, d2.sizes, d2.counts):
             if size2 == 0 or count2 == 0:
                 continue
             overlap = (cell.bits & cell2.bits).bit_count()
@@ -428,7 +438,7 @@ def pc_avoidance_probability(param: PartitionParameter, avoid: ItemSet) -> Fract
     if avoid.m != param.m:
         raise UniverseMismatch("avoid-set width does not match universe")
     prob = Fraction(1)
-    for cell, size, count in zip(param.cells, param._cell_sizes, param.counts):
+    for cell, size, count in zip(param.cells, param.sizes, param.counts):
         if size == 0:
             continue
         free = size - (cell.bits & avoid.bits).bit_count()
@@ -442,7 +452,7 @@ def pc_ally_avoidance_probability(param: PartitionParameter, avoid: ItemSet) -> 
     if avoid.m != param.m:
         raise UniverseMismatch("avoid-set width does not match universe")
     prob = Fraction(1)
-    for cell, size, count in zip(param.cells, param._cell_sizes, param.counts):
+    for cell, size, count in zip(param.cells, param.sizes, param.counts):
         if size == 0:
             continue
         hit = (cell.bits & avoid.bits).bit_count()

@@ -94,10 +94,6 @@ def opt_clause_pair(va: BXOSValuation, vb: BXOSValuation) -> tuple[int, int, int
     return best_i, best_j, best
 
 
-def opt_value(va: BXOSValuation, vb: BXOSValuation) -> int:
-    return opt_clause_pair(va, vb)[2]
-
-
 def oracle_allocation(va: BXOSValuation, vb: BXOSValuation) -> Allocation:
     """A welfare-optimal split: the winning first-bidder clause (shared items
     included) to the first bidder, everything else to the second."""
@@ -184,13 +180,6 @@ def cross_floors(m: int, eps: float = 0.0) -> tuple[Fraction, Fraction]:
     return Fraction(51 * m, 200) - slack, Fraction(61 * m, 240) - slack
 
 
-def envelope_welfares(inst: Instance, z: ItemSet) -> tuple[int, int]:
-    """Welfare of the split (z, ~z) under the copy-1 and copy-2 envelopes."""
-    _, _, va1, va2, vb1, vb2 = build_valuations(inst)
-    comp = ~z
-    return (va1.value(z) + vb1.value(comp), va2.value(z) + vb2.value(comp))
-
-
 def recover_theta(inst: Instance, z: ItemSet, eps: float) -> ThetaGuess:
     """Read the special copy off an allocation.
 
@@ -203,9 +192,10 @@ def recover_theta(inst: Instance, z: ItemSet, eps: float) -> ThetaGuess:
     if not 0 <= eps < 0.25:
         raise ValueError(f"eps must lie in [0, 1/4), got {eps}")
     bar = recovery_threshold(inst.m, eps)
-    q1, q2 = envelope_welfares(inst, z)
-    above1 = q1 > bar
-    above2 = q2 > bar
+    _, _, va1, va2, vb1, vb2 = build_valuations(inst)
+    comp = ~z
+    above1 = va1.value(z) + vb1.value(comp) > bar
+    above2 = va2.value(z) + vb2.value(comp) > bar
     if above1 and above2:
         return RECOVER_AMBIGUOUS
     if above1:
@@ -257,8 +247,3 @@ def cross_intersections(inst: Instance) -> CrossIntersections:
         (a[1 - j][i].bits & b[j][star].bits).bit_count() for i in others for j in (0, 1)
     )
     return CrossIntersections(regular, special_a, special_b)
-
-
-def bad_events(inst: Instance, eps: float) -> dict[str, bool]:
-    """Flags for the three low-intersection events that break recovery."""
-    return cross_intersections(inst).low_events(*cross_floors(inst.m, eps))

@@ -22,7 +22,7 @@ from bxoslab import (
     expected_intersection,
     generalized_deltas,
     opt_bruteforce,
-    opt_value,
+    opt_clause_pair,
     optimal_block_ratio,
     oracle_allocation,
     part_cells,
@@ -127,7 +127,7 @@ def test_criterion_3_optimum_is_always_m():
             n = (trial % 64) + 1 if m <= 160 else (trial % 8) + 1
             inst = sample_instance(m, n, "nu", rng.child(checked))
             va, vb, *_ = build_valuations(inst)
-            value = opt_value(va, vb)
+            value = opt_clause_pair(va, vb)[2]
             assert value == m, f"opt {value} != {m} at n={n}"
             if m == 16 and bruteforced < 100:
                 assert opt_bruteforce(va, vb) == value
@@ -156,7 +156,7 @@ def test_criterion_5_theta_recovery(large_instances):
     t0 = time.perf_counter()
     for inst in large_instances:
         va, vb, *_ = build_valuations(inst)
-        assert opt_value(va, vb) == LARGE_M
+        assert opt_clause_pair(va, vb)[2] == LARGE_M
         z = oracle_allocation(va, vb).to_alice
         guess = recover_theta(inst, z, EPS)
         assert guess == inst.theta, f"recovered {guess}, true {inst.theta}"

@@ -11,6 +11,7 @@ from bxoslab import (
     Basis,
     ConstructionError,
     Instance,
+    InvalidParameter,
     ItemSet,
     RngStream,
     UniverseMismatch,
@@ -24,6 +25,7 @@ from bxoslab import (
     part_cells,
     part_profile,
     reference_instance,
+    refine_masks,
     sample_basis,
     sample_clause_pair,
     sample_clause_pairs,
@@ -31,8 +33,12 @@ from bxoslab import (
     sample_instance,
     sample_special_pair,
 )
+from bxoslab import construction, sampling
 from bxoslab.construction import (
+    VARIANTS,
+    _basis_from_pattern_classes,
     _joint_cells,
+    _pair_from_joint_classes,
     _table,
     clause_pair_cell_counts,
     compatible_cell_counts,
@@ -594,6 +600,101 @@ class TestInstances:
         rng = RngStream(123, 0)
         inst = sample_instance(160, 4, "nu_prime", rng)
         assert is_special_pair(inst.a1[inst.i_star], inst.a2[inst.i_star], inst.s, inst.t)
+
+
+def _engine_cases(m):
+    """Per sampler: a call, and the refine_masks cells, table and row count
+    with the set builder that should give what it draws."""
+    setup = RngStream(41, 0)
+    s = sample_basis(m, setup)
+    t = sample_compatible(s, setup)
+    a1, a2 = sample_clause_pairs(s, setup, 1)[0]
+    basis, pair = _basis_from_pattern_classes, _pair_from_joint_classes
+    return {
+        "basis": (lambda rng: [sample_basis(m, rng)], [ItemSet.full(m)], [constant_vectors(m).basis], 1, basis),
+        "compatible": (lambda rng: [sample_compatible(s, rng)], s.cells, compatible_cell_counts(m), 1, basis),
+        "clause-pairs": (lambda rng: sample_clause_pairs(s, rng, 3), s.cells, clause_pair_cell_counts(m), 3, pair),
+        "special-pair": (
+            lambda rng: [sample_special_pair(s, t, rng)],
+            [ItemSet(m, c) for c in _joint_cells(s, t)],
+            special_pair_cell_counts(m),
+            1,
+            pair,
+        ),
+        "second-basis": (
+            lambda rng: [sample_second_basis(s, a1, a2, rng)],
+            part_cells(m, (*s.sets(), a1, a2)),
+            second_basis_cell_counts(m),
+            1,
+            basis,
+        ),
+    }
+
+
+class TestSamplersSkipTheEntryCheck:
+    """construction's samplers draw through sampling._draw, without
+    refine_masks's entry check; Instance.validate is the guard."""
+
+    # 160 items draw in multi-row chunks, 40000 in one-row chunks.
+    @pytest.mark.parametrize("m", [160, 40_000])
+    def test_each_sampler_draws_what_refine_masks_draws(self, m):
+        for name, (sample, cells, table, rows, build) in _engine_cases(m).items():
+            got_rng, want_rng = RngStream(43, 1), RngStream(43, 1)
+            want = [build(m, classes) for classes in refine_masks(cells, table, want_rng, rows)]
+            assert sample(got_rng) == want, name
+            # Both consumed the same draws.
+            assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62), name
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_instances_do_not_check_their_partitions_again(self, variant, monkeypatch):
+        calls = []
+        check = sampling._check_partition
+
+        def counted(cells):
+            calls.append(len(cells))
+            check(cells)
+
+        monkeypatch.setattr(sampling, "_check_partition", counted)
+        inst = sample_instance(160, 4, variant, RngStream(47, 0))
+        assert calls == []
+        # The counter does see the public entry.
+        refine_masks(inst.s.cells, compatible_cell_counts(160), RngStream(47, 1), 1)
+        assert calls == [4]
+
+    def test_overlapping_cells_from_a_sampler_fail_validation(self, monkeypatch):
+        # Multi-row chunks only: on cells that are not a partition a one-row
+        # chunk may never return (see sampling._draw).
+        m = 160
+        table = special_pair_cell_counts(m)
+        # A joint cell wholly in both clauses, and another non-empty cell.
+        both = next(i for i, row in enumerate(table) if row[0] and not any(row[1:]))
+        other = next(i for i, row in enumerate(table) if i != both and any(row))
+        draw, handed = construction._draw, []
+
+        def overlapping(plan, cells, rng, rows):
+            if plan.table == table:
+                # An item of the other cell replaces one of this cell's: the
+                # sizes stay, but that item lies in two cells and the
+                # replaced one in none, so it is in neither clause.
+                cells = list(cells)
+                cells[both] ^= (cells[both] & -cells[both]) | (cells[other] & -cells[other])
+                handed.append(cells)
+            return draw(plan, cells, rng, rows)
+
+        monkeypatch.setattr(construction, "_draw", overlapping)
+        # The engine draws from such cells without a complaint ...
+        s = sample_basis(m, RngStream(53, 0))
+        sample_special_pair(s, sample_compatible(s, RngStream(53, 1)), RngStream(53, 2))
+        assert len(handed) == 1
+        # ... and each instance drawn from them fails its validation.
+        for k in range(5):
+            with pytest.raises(ConstructionError):
+                sample_instance(m, 4, "nu", RngStream(53, 3).child(k))
+        assert len(handed) == 6
+
+    def test_a_negative_clause_pair_count_is_rejected(self, rng):
+        with pytest.raises(InvalidParameter, match="count must be >= 0, got -1"):
+            sample_clause_pairs(sample_basis(16, rng), rng, -1)
 
 
 def _put(seq, i, x):

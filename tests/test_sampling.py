@@ -1,11 +1,13 @@
 import tracemalloc
 import types
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations, product
+from operator import or_
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.stats import hypergeom
 
 from bxoslab import (
@@ -13,6 +15,7 @@ from bxoslab import (
     ItemSet,
     PartitionParameter,
     RngStream,
+    UniverseMismatch,
     expected_intersection,
     part_cells,
     pc_ally_avoidance_probability,
@@ -466,6 +469,58 @@ def test_a_cached_table_rejects_cells_that_do_not_fit(m, change, rng):
         with pytest.raises(InvalidParameter) as info:
             refine_masks(bad, table, rng, rows)
         assert str(info.value) == message
+
+
+@st.composite
+def refinement_calls(draw):
+    """Cells of a random partition of at most 48 items, a count table that
+    fits them, and a row count; now and then with one fault: a count moved
+    off its value, an item toggled in one cell, or one cell over another
+    universe.  Returns those and whether a fault was put in."""
+    m = draw(st.integers(1, 48))
+    n_cells = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(0, n_cells - 1), min_size=m, max_size=m))
+    cells = [ItemSet.from_indices(m, [i for i, k in enumerate(ids) if k == cell]) for cell in range(n_cells)]
+    n_classes = draw(st.integers(1, 4))
+    table = []
+    for cell in cells:
+        cuts = sorted(draw(st.lists(st.integers(0, len(cell)), min_size=n_classes - 1, max_size=n_classes - 1)))
+        table.append([b - a for a, b in zip([0, *cuts], [*cuts, len(cell)])])
+    fault = draw(st.sampled_from(["none"] * 6 + ["count", "item", "universe"]))
+    k = draw(st.integers(0, n_cells - 1))
+    if fault == "count":
+        table[k][draw(st.integers(0, n_classes - 1))] += draw(st.sampled_from([-2, -1, 1, 2]))
+    elif fault == "item":
+        cells[k] ^= ItemSet.from_indices(m, [draw(st.integers(0, m - 1))])
+    elif fault == "universe":
+        cells[k] = ItemSet.from_numpy_indices(m + 1, cells[k].indices())
+    return cells, table, draw(st.integers(0, 3)), fault != "none"
+
+
+@pytest.mark.parametrize("one_row", [False, True], ids=["multi-row", "one-row"])
+@settings(max_examples=80, deadline=None)
+@given(call=refinement_calls(), seed=st.integers(0, 1000))
+def test_refine_masks_meets_its_counts_or_rejects_the_call(one_row, call, seed):
+    # Every row meets the counts and partitions the universe; a faulty call
+    # raises and leaves no plan in the cache, which starts empty so that a
+    # new entry would show.  A batch size of one item gives one-row chunks
+    # at every m.
+    cells, table, rows, faulty = call
+    with pytest.MonkeyPatch.context() as mp:
+        if one_row:
+            mp.setattr(sampling, "_BATCH_ITEMS", 1)
+        sampling._plan.cache_clear()
+        if faulty:
+            with pytest.raises((InvalidParameter, UniverseMismatch)):
+                refine_masks(cells, table, RngStream(seed, 0), rows)
+            assert sampling._plan.cache_info().currsize == 0
+            return
+        got = refine_masks(cells, table, RngStream(seed, 0), rows)
+    m = cells[0].m
+    assert len(got) == rows
+    for classes in got:
+        assert [[(c & cell.bits).bit_count() for c in classes] for cell in cells] == table
+        assert sum(c.bit_count() for c in classes) == m and reduce(or_, classes) == (1 << m) - 1
 
 
 def refinement_support(cells, rows):

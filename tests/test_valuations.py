@@ -11,7 +11,6 @@ from bxoslab import (
     build_valuations,
     opt_bruteforce,
     opt_clause_pair,
-    opt_value,
     oracle_allocation,
     recover_theta,
     sample_instance,
@@ -19,7 +18,7 @@ from bxoslab import (
 from bxoslab import valuations
 from bxoslab.construction import VARIANTS
 from bxoslab.lab import _count_both_good
-from bxoslab.valuations import bad_events, cross_intersections, split_masks
+from bxoslab.valuations import cross_floors, cross_intersections, split_masks
 
 from naive_reference import naive_opt
 
@@ -114,7 +113,7 @@ class TestOptOracles:
             sets_a = [list(c) for c in va.clauses]
             sets_b = [list(c) for c in vb.clauses]
             expected = naive_opt(sets_a, sets_b, m)
-            assert opt_value(va, vb) == expected
+            assert opt_clause_pair(va, vb)[2] == expected
             assert opt_bruteforce(va, vb) == expected
 
     def test_oracle_matches_bruteforce_on_instances(self):
@@ -122,7 +121,7 @@ class TestOptOracles:
         for trial in range(10):
             inst = sample_instance(16, 4, "nu", rng.child(trial))
             va, vb, *_ = build_valuations(inst)
-            assert opt_value(va, vb) == opt_bruteforce(va, vb) == 16
+            assert opt_clause_pair(va, vb)[2] == opt_bruteforce(va, vb) == 16
 
     # Every other enumeration test fits in one chunk; 1 << 10 gives 64 whole
     # chunks at m = 16 and 1000 gives 65 whole ones and a short last one.
@@ -138,7 +137,7 @@ class TestOptOracles:
         assert np.array_equal(np.concatenate(chunks), np.arange(1 << 16, dtype=np.uint32))
         for inst in instances:
             va, vb, *_ = build_valuations(inst)
-            assert opt_bruteforce(va, vb) == opt_value(va, vb) == 16
+            assert opt_bruteforce(va, vb) == opt_clause_pair(va, vb)[2] == 16
         assert [_count_both_good(inst, eps) for inst in instances for eps in (0.01, 0.1)] == one_chunk
 
     def test_oracle_allocation_achieves_opt(self, rng):
@@ -146,7 +145,7 @@ class TestOptOracles:
         va, vb, *_ = build_valuations(inst)
         alloc = oracle_allocation(va, vb)
         achieved = va.value(alloc.to_alice) + vb.value(alloc.to_bob)
-        assert achieved == opt_value(va, vb) == 160
+        assert achieved == opt_clause_pair(va, vb)[2] == 160
 
 
 class TestBuildValuations:
@@ -218,7 +217,7 @@ class TestCrossIntersections:
 
     def test_bad_events_all_clear_at_large_margin(self, rng):
         inst = sample_instance(160, 4, "nu", rng)
-        flags = bad_events(inst, 0.24)
+        flags = cross_intersections(inst).low_events(*cross_floors(inst.m, 0.24))
         assert not any(flags.values())
 
 
@@ -234,7 +233,7 @@ class TestEventCaseAnalysis:
             for eps in (0.01, 0.1, 0.2):
                 both_good = _count_both_good(inst, eps)
                 if both_good > 0:
-                    assert any(bad_events(inst, eps).values())
+                    assert any(cross_intersections(inst).low_events(*cross_floors(inst.m, eps)).values())
                     checked_nontrivial += 1
         # The premise should fire at least sometimes at this scale.
         assert checked_nontrivial > 0
