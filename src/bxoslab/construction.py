@@ -289,20 +289,18 @@ def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> B
 
 
 def _table(cells: Sequence[int], masks: Iterable[int]) -> list[tuple[int, ...]]:
-    # The one count kernel: per mask, its items in each cell mask.  Masks
+    # The one count kernel, behind the predicates below, Instance.validate and
+    # the basis-exchange bidder: per mask, its items in each cell mask.  Masks
     # are read once, in order, so a generator keeps one m-bit temporary.
     count = int.bit_count
     return [tuple([count(c & x) for c in cells]) for x in masks]
 
 
-def _profile(cells: Sequence[int], m: int, *sets: ItemSet) -> tuple[int, ...]:
-    # Items of the intersection of ``sets`` (the universe if none) per cell mask.
-    mask = -1
-    for a in sets:
-        if a.m != m:
-            raise UniverseMismatch(f"set width {a.m} does not match universe {m}")
-        mask &= a.bits
-    return _table(cells, (mask,))[0]
+def _bits(m: int, a: ItemSet) -> int:
+    # The mask of a set that must live over the universe of size m.
+    if a.m != m:
+        raise UniverseMismatch(f"set width {a.m} does not match universe {m}")
+    return a.bits
 
 
 def _joint_cells(s: Basis, t: Basis) -> list[int]:
@@ -313,47 +311,47 @@ def _joint_cells(s: Basis, t: Basis) -> list[int]:
     return [cs.bits & ct.bits for cs in s.cells for ct in t.cells]
 
 
+# One test per pair invariant, shared by the predicates below and
+# Instance.validate; ``joint`` holds the 16 joint cell masks of (s, t), and
+# ``cells`` the 4 of the basis whose clause pairs are tested.
+def _is_compatible(joint: Sequence[int], vec: ConstantVectors) -> bool:
+    return _table(joint, (-1,))[0] == vec.cmp
+
+
+def _are_clause_pairs(cells: Sequence[int], firsts: Sequence[int], seconds: Sequence[int], vec: ConstantVectors) -> list[bool]:
+    both = (x & y for x, y in zip(firsts, seconds))
+    profiles = zip(_table(cells, firsts), _table(_rev_order(cells), seconds), _table(cells, both))
+    return [got == (vec.reg, vec.reg, vec.regpair) for got in profiles]
+
+
+def _is_special(joint: Sequence[int], x: int, y: int, vec: ConstantVectors) -> bool:
+    return _table(joint, (x, y, x & y)) == [vec.spec1, vec.spec2, vec.specpair]
+
+
 def _compatible_cells(s: Basis, t: Basis) -> list[int]:
     # The 16 joint cell masks of a pair that must be compatible.
     cells = _joint_cells(s, t)
-    if _profile(cells, s.m) != constant_vectors(s.m).cmp:
+    if not _is_compatible(cells, constant_vectors(s.m)):
         raise ConstructionError("first basis is not compatible with the second")
     return cells
 
 
-def _clause_pair_profiles(cells: Sequence[int], firsts: Sequence[int], seconds: Sequence[int]) -> list[tuple]:
-    # Per pair of masks, the profiles a clause pair of the basis with cell
-    # masks ``cells`` fixes: of the first over the cells, of the second over
-    # the reversal's cells, and of their intersection over the cells.
-    both = (x & y for x, y in zip(firsts, seconds))
-    return list(zip(_table(cells, firsts), _table(_rev_order(cells), seconds), _table(cells, both)))
-
-
 def is_compatible(s: Basis, t: Basis) -> bool:
     """True iff the joint 16-cell profile matches; not symmetric in (s, t)."""
-    return _profile(_joint_cells(s, t), s.m) == constant_vectors(s.m).cmp
+    return _is_compatible(_joint_cells(s, t), constant_vectors(s.m))
 
 
 def is_clause(a: ItemSet, base: Basis) -> bool:
-    return _profile([c.bits for c in base.cells], base.m, a) == constant_vectors(base.m).reg
+    return _table([c.bits for c in base.cells], (_bits(base.m, a),))[0] == constant_vectors(base.m).reg
 
 
 def is_clause_pair(a1: ItemSet, a2: ItemSet, base: Basis) -> bool:
-    cells, m, vec = [c.bits for c in base.cells], base.m, constant_vectors(base.m)
-    return (
-        _profile(cells, m, a1) == vec.reg
-        and _profile(_rev_order(cells), m, a2) == vec.reg
-        and _profile(cells, m, a1, a2) == vec.regpair
-    )
+    m, cells = base.m, [c.bits for c in base.cells]
+    return _are_clause_pairs(cells, [_bits(m, a1)], [_bits(m, a2)], constant_vectors(m))[0]
 
 
 def is_special_pair(a1: ItemSet, a2: ItemSet, s: Basis, t: Basis) -> bool:
-    cells, m, vec = _joint_cells(s, t), s.m, constant_vectors(s.m)
-    return (
-        _profile(cells, m, a1) == vec.spec1
-        and _profile(cells, m, a2) == vec.spec2
-        and _profile(cells, m, a1, a2) == vec.specpair
-    )
+    return _is_special(_joint_cells(s, t), _bits(s.m, a1), _bits(s.m, a2), constant_vectors(s.m))
 
 
 @dataclass(frozen=True)
@@ -392,8 +390,6 @@ class Instance:
             for x in seq:
                 if x.m != self.m:
                     raise UniverseMismatch(f"{name} entry width {x.m} != {self.m}")
-                if len(x) != self.m // 2:
-                    raise ConstructionError(f"{name} clause has size {len(x)}, expected {self.m // 2}")
         for name, seq in (("r_a", self.r_a), ("r_b", self.r_b)):
             if len(seq) != self.n or any(r not in (1, 2) for r in seq):
                 raise ConstructionError(f"{name} must be {self.n} values in {{1, 2}}")
@@ -403,21 +399,21 @@ class Instance:
         vec = constant_vectors(self.s.m)
         if self.s.m != self.m:
             raise UniverseMismatch(f"bases have width {self.s.m} != {self.m}")
-        # Every regular pair of both bidders is counted first; the checks
+        # Clause sizes need no check: reg, spec1 and spec2 each sum to 8 per 16
+        # items, and the special b1 and b2 are complements of clauses so checked.
+        # Every regular pair of both bidders is tested first; the checks
         # then fail at the lowest index, the first bidder first.
         regular = [i for i in range(self.n) if i != self.i_star]
         a1, a2, b1, b2 = ([seq[i].bits for i in regular] for seq in (self.a1, self.a2, self.b1, self.b2))
-        first = _clause_pair_profiles([c.bits for c in self.s.cells], a1, a2)
-        second = _clause_pair_profiles(_rev_order([c.bits for c in self.t.cells]), b2, b1)
-        want = (vec.reg, vec.reg, vec.regpair)
-        for i, got_a, got_b in zip(regular, first, second):
-            if got_a != want:
+        first = _are_clause_pairs([c.bits for c in self.s.cells], a1, a2, vec)
+        second = _are_clause_pairs(_rev_order([c.bits for c in self.t.cells]), b2, b1, vec)
+        for i, ok_a, ok_b in zip(regular, first, second):
+            if not ok_a:
                 raise ConstructionError(f"index {i}: not a clause pair for the first bidder")
-            if got_b != want:
+            if not ok_b:
                 raise ConstructionError(f"index {i}: not a clause pair for the second bidder")
         i = self.i_star
-        x, y = self.a1[i].bits, self.a2[i].bits
-        if _table(joint, (x, y, x & y)) != [vec.spec1, vec.spec2, vec.specpair]:
+        if not _is_special(joint, self.a1[i].bits, self.a2[i].bits, vec):
             raise ConstructionError("special index does not hold a special pair")
         if self.b1[i] != ~self.a1[i] or self.b2[i] != ~self.a2[i]:
             raise ConstructionError("special-index second-bidder clauses must be complements")

@@ -16,13 +16,6 @@ import numpy as np
 
 
 _LOWER_HEX = re.compile("[0-9a-f]*")
-# Up to this many indices, OR-ing shifted ints beats one packbits pass over
-# the universe (its fixed cost is a few microseconds even at m = 8).
-_FEW_INDICES = 32
-
-
-def _outside_universe(m: int) -> ValueError:
-    return ValueError(f"item index outside universe of size {m}")
 
 
 class UniverseMismatch(ValueError):
@@ -83,30 +76,21 @@ class ItemSet:
 
     @classmethod
     def from_numpy_indices(cls, m: int, indices: np.ndarray) -> "ItemSet":
-        """Set of the items in an integer index array (repeats allowed);
+        """Set of the items in an integer index array (repeats allowed), by
+        one scatter into a bool array of the universe and ``np.packbits``;
         raises ``ValueError`` for an index outside ``[0, m)`` or an array
         of another dtype."""
-        # Both paths below would misread such an array: numpy indexes with a
-        # bool array as a mask, and ``1 << True`` is ``1 << 1``.
+        # numpy would index with a bool array as a mask.
         if indices.dtype.kind not in "iu":
             raise ValueError(f"item indices must be integers, got dtype {indices.dtype}")
-        if indices.size <= _FEW_INDICES:
-            items = indices.tolist()
-            # Checked before shifting: 1 << i for a huge i would not fit in memory.
-            if items and (min(items) < 0 or max(items) >= m):
-                raise _outside_universe(m)
-            bits = 0
-            for i in items:
-                bits |= 1 << i
-            return cls(m, bits)
         buf = np.zeros(m, dtype=bool)
         try:
-            # Numpy would wrap a negative index round to the end of ``buf``.
-            if indices.dtype.kind != "u" and indices.min() < 0:
+            # Numpy would wrap a negative index round; an empty array has no min().
+            if indices.dtype.kind == "i" and indices.size and indices.min() < 0:
                 raise IndexError
             buf[indices] = True
         except IndexError:
-            raise _outside_universe(m) from None
+            raise ValueError(f"item index outside universe of size {m}") from None
         raw = np.packbits(buf, bitorder="little").tobytes()
         return cls(m, int.from_bytes(raw, "little"))
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .construction import Basis, Instance, _joint_cells, _profile, constant_vectors
+from .construction import Basis, Instance, _joint_cells, _table, constant_vectors
 from .itemsets import ItemSet
 from .rng import _mix64
 from .valuations import Allocation, BXOSValuation, build_valuations, opt_clause_pair
@@ -271,7 +271,7 @@ def basis_exchange_protocol(inst: Instance) -> Protocol:
             return ""
         joint = _joint_cells(s, Basis(*decode_basis(m, seen[0])))
         for clause in v.clauses:
-            if _profile(joint, m, clause) in (vec.spec1, vec.spec2):
+            if _table(joint, (clause.bits,))[0] in (vec.spec1, vec.spec2):
                 return encode_set(clause)
         # Unreachable on well-formed instances; concede the first clause.
         return encode_set(v.clauses[0])

@@ -63,9 +63,18 @@ class PartitionParameter:
     def __post_init__(self) -> None:
         if len(self.counts) != len(self.cells):
             raise InvalidParameter("one count per cell is required")
+        _check_partition(self.cells)
+        sizes = tuple(map(len, self.cells))
         # 0 <= p <= |cell|: the cell splits into p chosen and |cell| - p other items.
-        plan = _checked_plan(self.cells, [(p, len(c) - p) for c, p in zip(self.cells, self.counts)])
-        object.__setattr__(self, "sizes", plan.sizes)
+        for i, (p, size) in enumerate(zip(self.counts, sizes)):
+            try:
+                p = index(p)
+            except TypeError:
+                raise InvalidParameter(f"cell {i}: count {p!r} is non-integer") from None
+            if p < 0 or p > size:
+                fault = "negative" if p < 0 else f"above the cell's {size} items"
+                raise InvalidParameter(f"cell {i}: count {p} is {fault}")
+        object.__setattr__(self, "sizes", sizes)
 
     @property
     def m(self) -> int:
@@ -141,10 +150,9 @@ def _int_row(row: Sequence[int]) -> tuple[int, ...]:
 
 
 def _checked_plan(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]]) -> _Plan:
-    # The entry check of refine_masks and PartitionParameter: cells that
-    # partition the universe, integer count rows that the plan accepts, and
-    # one row per cell that sums to its size.  Only a call that passes (a
-    # valid PartitionParameter too) leaves a plan in the cache.
+    # The entry check of refine_masks: cells that partition the universe,
+    # integer count rows that the plan accepts, and one row per cell that
+    # sums to its size.  Only a call that passes leaves a plan in the cache.
     _check_partition(cells)
     table = tuple(map(_int_row, class_counts))
     sizes = tuple(map(len, cells))
@@ -169,10 +177,10 @@ def refine_masks(
     The cells must partition the universe; ``class_counts[i]`` gives, for
     cell ``i``, how many of its items land in each of the ``c`` classes, as
     integer counts >= 0 that sum to its size (:class:`InvalidParameter`
-    otherwise).  :class:`PartitionParameter` makes the same entry check, so
-    both raise the same errors.  ``construction``'s samplers skip it and
-    call the engine, ``_draw``: each of their partitions is checked once,
-    where it is built, and ``Instance.validate`` recounts what they drew.
+    otherwise).  :class:`PartitionParameter` checks its cells the same way and
+    names a count that does not fit.  ``construction``'s samplers skip this
+    check and call the engine, ``_draw``: each of their partitions is checked
+    once, where it is built, and ``Instance.validate`` recounts what they drew.
     Within a cell the assignment is uniform over all assignments meeting the
     counts, and cells and refinements are independent.  Returns, per row,
     the ``c`` class masks (item ``i`` is bit ``i``), which partition the

@@ -545,6 +545,7 @@ class TestInstances:
         for trial in range(10):
             inst = sample_instance(160, 6, variant, rng.child(trial))
             inst.validate()
+            assert _false_predicates(inst) == set()
             assert inst.variant == variant
             assert inst.r_a[inst.i_star] == inst.r_b[inst.i_star] == inst.theta
 
@@ -594,6 +595,76 @@ class TestInstances:
         # Both break at one index: the first bidder is named.
         broken = _break_second_bidder(_break_first_bidder(inst, lo), lo)
         with pytest.raises(ConstructionError, match=f"^index {lo}: not a clause pair for the first bidder$"):
+            broken.validate()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "name, special, message",
+        [
+            ("a1", False, "index {j}: not a clause pair for the first bidder"),
+            ("b2", False, "index {j}: not a clause pair for the second bidder"),
+            ("a1", True, "special index does not hold a special pair"),
+            ("b2", True, "special-index second-bidder clauses must be complements"),
+        ],
+        ids=["first-bidder", "second-bidder", "special", "special-second-bidder"],
+    )
+    def test_a_clause_of_the_wrong_size_fails_its_profile_check(self, variant, name, special, message):
+        # validate checks no clause's size: a clause of the right width and
+        # any other size fails the profile or complement check of its index.
+        m = 160
+        inst = sample_instance(m, 4, variant, RngStream(31, 0))
+        j = inst.i_star if special else (inst.i_star + 1) % inst.n
+        clause = getattr(inst, name)[j]
+        one_more = clause | ItemSet.from_indices(m, [next(iter(~clause))])
+        for wrong in (ItemSet.empty(m), one_more, ItemSet.full(m)):
+            broken = replace(inst, **{name: _put(getattr(inst, name), j, wrong)})
+            with pytest.raises(ConstructionError, match=f"^{message.format(j=j)}$"):
+                broken.validate()
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    @pytest.mark.parametrize(
+        "corrupt, message, false",
+        [
+            (_break_first_bidder, "not a clause pair for the first bidder", {"first bidder"}),
+            (_break_second_bidder, "not a clause pair for the second bidder", {"second bidder"}),
+            # Over t = s the second bidder's pairs and the special pair fail
+            # too; validate names compatibility, which it checks first.
+            (
+                lambda inst, j: replace(inst, t=inst.s),
+                "first basis is not compatible with the second",
+                {"compatible", "second bidder", "special"},
+            ),
+            (lambda inst, j: _special_at(inst, j), "special index does not hold a special pair", {"special"}),
+            # No predicate covers the complements.
+            (
+                lambda inst, j: replace(inst, b1=_put(inst.b1, inst.i_star, inst.a1[inst.i_star])),
+                "second-bidder clauses must be complements",
+                set(),
+            ),
+        ],
+        ids=["first-bidder-clause", "second-bidder-pair", "incompatible", "special-moved", "not-complement"],
+    )
+    def test_predicates_agree_with_validate(self, variant, corrupt, message, false):
+        # The corruptions of test_validate_names_each_broken_invariant.
+        inst = sample_instance(160, 4, variant, RngStream(31, 0))
+        broken = corrupt(inst, (inst.i_star + 1) % inst.n)
+        with pytest.raises(ConstructionError, match=message):
+            broken.validate()
+        assert _false_predicates(broken) == false
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_special_pair_with_the_wrong_overlap_is_rejected(self, variant):
+        # In the first joint cell a1 and a2 split the items; trading one of
+        # a2's there for one of a1's keeps both sides' profiles and breaks
+        # only the overlap.
+        inst = sample_instance(160, 4, variant, RngStream(31, 0))
+        i = inst.i_star
+        cell = ItemSet(160, _joint_cells(inst.s, inst.t)[0])
+        x, y = next(iter(inst.a1[i] & cell)), next(iter(inst.a2[i] & cell))
+        a2 = inst.a2[i] - ItemSet.from_indices(160, [y]) | ItemSet.from_indices(160, [x])
+        broken = replace(inst, a2=_put(inst.a2, i, a2), b2=_put(inst.b2, i, ~a2))
+        assert _false_predicates(broken) == {"special"}
+        with pytest.raises(ConstructionError, match="special index does not hold a special pair"):
             broken.validate()
 
     def test_nu_prime_instances_satisfy_nu_invariants(self):
@@ -699,6 +770,19 @@ class TestSamplersSkipTheEntryCheck:
 
 def _put(seq, i, x):
     return seq[:i] + (x,) + seq[i + 1 :]
+
+
+def _false_predicates(inst):
+    # The pair invariants of an instance whose public predicate fails.
+    regular = [i for i in range(inst.n) if i != inst.i_star]
+    i = inst.i_star
+    holds = {
+        "compatible": is_compatible(inst.s, inst.t),
+        "first bidder": all(is_clause_pair(inst.a1[k], inst.a2[k], inst.s) for k in regular),
+        "second bidder": all(is_clause_pair(inst.b2[k], inst.b1[k], inst.t.rev) for k in regular),
+        "special": is_special_pair(inst.a1[i], inst.a2[i], inst.s, inst.t),
+    }
+    return {name for name, ok in holds.items() if not ok}
 
 
 def _special_at(inst, j):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bxoslab import ItemSet, UniverseMismatch, part_cells, part_profile
-from bxoslab.itemsets import _FEW_INDICES
+_FEW_INDICES = 32  # the bound of a short-array path since removed; the cases keep their lengths
 
 from naive_reference import naive_part_profile
 
@@ -134,6 +134,15 @@ class TestItemSet:
         index = {"m": m, "-m-1": -m - 1}.get(bad, bad)
         with pytest.raises(ValueError, match="outside universe"):
             ItemSet.from_numpy_indices(m, np.append(np.arange(n_valid), index))
+
+    @pytest.mark.parametrize("m", [16, 200])
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
+    def test_from_numpy_matches_from_indices_on_short_arrays(self, m, dtype):
+        # The empty array and 1-40 indices, repeats included.
+        rng = np.random.default_rng(m)
+        for n in range(41):
+            idx = rng.integers(0, m, size=n).astype(dtype)
+            assert ItemSet.from_numpy_indices(m, idx) == ItemSet.from_indices(m, idx.tolist())
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint64])
     def test_from_numpy_takes_unsigned_indices(self, dtype):

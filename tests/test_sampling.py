@@ -66,6 +66,18 @@ class TestPartitionParameter:
             PartitionParameter((ItemSet.full(8),), (-1,))
 
     @pytest.mark.parametrize("m", [16, 40_000])
+    def test_count_errors_name_the_given_count(self, m):
+        half = m // 2
+        for count, message in (
+            (half + 1, f"cell 1: count {half + 1} is above the cell's {half} items"),
+            (1.5, "cell 1: count 1.5 is non-integer"),
+            (-1, "cell 1: count -1 is negative"),
+        ):
+            with pytest.raises(InvalidParameter) as err:
+                split_param(m, half, (1, count))
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("m", [16, 40_000])
     def test_rejects_non_integer_count(self, m):
         # Integer-valued floats too: a count must be an integer.
         for counts in ((1.5, 2.5), (1.0, 2), (1, np.float64(2))):
