@@ -22,14 +22,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from .construction import (
+    REFERENCE_M,
     Basis,
     ConstructionError,
     Instance,
     VARIANTS,
     _compatible_cells,
     constant_vectors,
-    sample_basis,
-    sample_compatible,
+    reference_configuration,
     sample_instance,
 )
 from .itemsets import ItemSet
@@ -264,17 +264,22 @@ def _trials(cfg: ExperimentConfig, base: int, measure: Callable[[Instance, RngSt
 
 
 def _exact_delta_table(m: int) -> tuple[dict, bool]:
-    """Exact expected cross intersections on a sampled compatible pair.
+    """Exact expected cross intersections of a compatible pair at universe
+    size ``m``, which draws nothing.
 
     All four regular combinations and both special combinations are computed
-    by the double-sum formula and compared against the golden rationals
-    51m/200 and 61m/240.
+    by the double-sum formula on the embedded 16-item layout
+    (:func:`reference_configuration`), scaled by ``m / 16``, and compared
+    against the golden rationals 51m/200 and 61m/240.  Every cell size and
+    count of a compatible pair at ``m`` is ``m / 16`` times the layout's, so
+    each term ``p p' |P & P'| / (|P| |P'|)`` and the sums scale by ``m / 16``.
     """
-    rng = RngStream(981, 0)
-    s = sample_basis(m, rng)
-    t = sample_compatible(s, rng)
-    vec = constant_vectors(m)
-    joint_cells = tuple(ItemSet._new(m, c) for c in _compatible_cells(s, t))
+    # An m that 16 does not divide raises here, as a draw at m would.
+    constant_vectors(m)
+    scale = Fraction(m, REFERENCE_M)
+    vec = constant_vectors(REFERENCE_M)
+    s, t, _ = reference_configuration()
+    joint_cells = tuple(ItemSet._new(REFERENCE_M, c) for c in _compatible_cells(s, t))
 
     def clause_param(basis: Basis) -> PartitionParameter:
         return PartitionParameter(basis.cells, vec.reg)
@@ -286,13 +291,13 @@ def _exact_delta_table(m: int) -> tuple[dict, bool]:
     b_side = {1: clause_param(t), 2: clause_param(t.rev)}
     golden_reg, golden_spec = cross_floors(m)
     regular = {
-        f"regular_{i}{j}": expected_intersection(a_side[i], b_side[j])
+        f"regular_{i}{j}": scale * expected_intersection(a_side[i], b_side[j])
         for i in (1, 2)
         for j in (1, 2)
     }
     special = {
-        "special_1": expected_intersection(special_param(vec.spec1), b_side[2]),
-        "special_2": expected_intersection(special_param(vec.spec2), b_side[1]),
+        "special_1": scale * expected_intersection(special_param(vec.spec1), b_side[2]),
+        "special_2": scale * expected_intersection(special_param(vec.spec2), b_side[1]),
     }
     ok = all(v == golden_reg for v in regular.values()) and all(
         v == golden_spec for v in special.values()

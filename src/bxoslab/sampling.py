@@ -12,7 +12,9 @@ the count rows ``(p, |cell| - p)``, and every refinement into more classes
 that ``construction`` samples.  In-cell selection is a uniform permutation, or
 at large universes i.i.d. per-item labels, drawn for the whole universe in item
 order, whose class counts a fix-up by uniform rejection then makes exact;
-either is exactly uniform and runs at C speed for large cells.
+either is exactly uniform and runs at C speed for large cells.  The labels are
+numpy's 16-bit ``integers`` draws, read from the raw Philox words with numpy's
+buffered 32-bit half carried in and out, so they are the same draws.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from math import comb
 from operator import index
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -210,10 +212,15 @@ def refine_masks(
     from all of them holds every class mask.
 
     Where every chunk is one row (``m > _BATCH_ITEMS // 2``), a row works
-    in item order.  Unless every cell lands in one class, it draws
-    ``rng.np.integers(0, 1 << 16, size=m, dtype=np.uint16)``, one value per
-    item of the universe in ascending order (in passes of ``_LABEL_CHUNK``
-    items; an even pass length draws what one call would).  An item of a
+    in item order.  Unless every cell lands in one class, it draws the
+    values of ``rng.np.integers(0, 1 << 16, size=m, dtype=np.uint16)``, one
+    per item of the universe in ascending order (in passes of
+    ``_LABEL_CHUNK`` items; an even pass length draws what one call would).
+    They are read from the bit generator's raw 64-bit words, four values
+    per word, low bits first, and the 32-bit half that numpy buffers
+    between draws is taken first and handed back as numpy would leave it,
+    so the values and the generator state after them are those of the
+    ``integers`` calls.  An item of a
     multi-class cell of ``size`` items takes the label of how many of the
     thresholds ``(cum << 16) // size`` it clears, ``cum`` running over its
     row's cumulative counts but the last; one table per call, indexed by
@@ -319,9 +326,10 @@ def _label_table(plan: _Plan) -> np.ndarray:
     # Entry (k << 16) + r is the label of draw r in the k-th multi-class
     # cell: how many of the thresholds (cum << 16) // size it clears.  The
     # last 1 << 16 entries, for items of one-class cells, hold n_classes,
-    # which is no class.
+    # which is no class.  A cell's class intervals cover its whole span.
     n_classes, span = plan.n_classes, 1 << _LABEL_BITS
-    table = np.full((len(plan.multi) + 1) * span, n_classes, dtype=np.min_scalar_type(n_classes))
+    table = np.empty((len(plan.multi) + 1) * span, dtype=np.min_scalar_type(n_classes))
+    table[-span:] = n_classes
     for k, (i, a, b) in enumerate(plan.multi):
         edges = [k * span + ((cum << _LABEL_BITS) // (b - a)) for cum in accumulate(plan.table[i], initial=0)]
         for j, (lo, hi) in enumerate(zip(edges, edges[1:])):
@@ -340,6 +348,33 @@ def _release(members: np.ndarray, left: int, d: int, m: int, rng: RngStream) -> 
         hits = [i for i in dict.fromkeys(x[members[x >> 3] >> (x & 7) & 1 == 1].tolist()) if i not in taken]
         taken.update(dict.fromkeys(hits[: d - len(taken)]))
     return list(taken)
+
+
+def _label_passes(bitgen: np.random.BitGenerator, n: int) -> Iterator[tuple[int, np.ndarray]]:
+    # The labels of n items, in passes of _LABEL_CHUNK as (first item,
+    # labels): each pass holds the draws of Generator.integers(0, 1 << 16,
+    # size=len(pass), dtype=np.uint16), read from bitgen's raw 64-bit words.
+    # A word is two 32-bit halves, low half first, and a half two labels, low
+    # first; a pass of odd length drops the high label of its last half.
+    # numpy keeps a half drawn but not used in the state (``has_uint32``,
+    # ``uinteger``) for the next 32-bit draw: the passes take it first, and
+    # hand the one they leave back once they are exhausted.
+    state = bitgen.state
+    carry = [state["uinteger"]] if state["has_uint32"] else []
+    for a in range(0, n, _LABEL_CHUNK):
+        size = min(_LABEL_CHUNK, n - a)
+        want = (size + 1) // 2 - len(carry)
+        halves = bitgen.random_raw((want + 1) // 2).astype("<u8", copy=False).view("<u4")
+        if carry:
+            halves = np.concatenate((np.array(carry, dtype="<u4"), halves))
+        carry = [int(halves[-1])] if want % 2 else []
+        yield a, halves.view("<u2")[:size]
+    if carry or state["has_uint32"]:
+        state = bitgen.state
+        state["has_uint32"] = len(carry)
+        if carry:
+            state["uinteger"] = carry[0]
+        bitgen.state = state
 
 
 def _labelled_rows(plan: _Plan, cells: Sequence[int], fixed: Sequence[int], rng: RngStream, rows: int) -> list[list[int]]:
@@ -361,12 +396,12 @@ def _labelled_rows(plan: _Plan, cells: Sequence[int], fixed: Sequence[int], rng:
     labels = np.empty(_LABEL_CHUNK, dtype=table.dtype)
     out = []
     for _ in range(rows):
-        for a in range(0, m, _LABEL_CHUNK):
-            b = min(a + _LABEL_CHUNK, m)
+        for a, draws in _label_passes(rng.np.bit_generator, m):
+            b = a + len(draws)
             part = key[: b - a]
             np.copyto(part, cid[a:b])
             part <<= _LABEL_BITS
-            part |= rng.np.integers(0, 1 << _LABEL_BITS, size=b - a, dtype=np.uint16)
+            part |= draws
             # Every key is in range; "clip" only spares take a buffered copy.
             lab = np.take(table, part, out=labels[: b - a], mode="clip")
             as_bytes[:, a // 8 : (b + 7) // 8] = np.packbits(lab == classes, axis=1, bitorder="little")

@@ -3,14 +3,22 @@ import runpy
 import sys
 import time
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from bxoslab import RngStream, sample_instance
-from bxoslab import cli, lab
+from bxoslab import ItemSet, PartitionParameter, RngStream, expected_intersection, sample_instance
+from bxoslab import cli, construction, lab
 from bxoslab.cli import main as cli_main
-from bxoslab.construction import ConstructionError, reference_instance
+from bxoslab.construction import (
+    ConstructionError,
+    _compatible_cells,
+    constant_vectors,
+    reference_instance,
+    sample_basis,
+    sample_compatible,
+)
 from bxoslab.lab import (
     ConfigError,
     ExperimentConfig,
@@ -171,6 +179,40 @@ class TestDrivers:
         golden = Fraction(51 * 160, 200)
         assert exact["measured"]["golden_regular"] == f"{golden.numerator}/{golden.denominator}"
         assert exact["measured"]["regular_11"] == exact["measured"]["golden_regular"]
+
+    @pytest.mark.parametrize("m", [16, 160, 1024])
+    def test_exact_delta_table_matches_sampled_pair_sums(self, m):
+        # The table draws nothing; the double sums over sampled compatible
+        # pairs at m give the same rationals.
+        for seed in (981, 5):
+            rng = RngStream(seed, 0)
+            s = sample_basis(m, rng)
+            t = sample_compatible(s, rng)
+            vec = constant_vectors(m)
+            joint_cells = tuple(ItemSet._new(m, c) for c in _compatible_cells(s, t))
+            a_side = {1: PartitionParameter(s.cells, vec.reg), 2: PartitionParameter(s.rev.cells, vec.reg)}
+            b_side = {1: PartitionParameter(t.cells, vec.reg), 2: PartitionParameter(t.rev.cells, vec.reg)}
+            want = {f"regular_{i}{j}": expected_intersection(a_side[i], b_side[j]) for i in (1, 2) for j in (1, 2)}
+            want["special_1"] = expected_intersection(PartitionParameter(joint_cells, vec.spec1), b_side[2])
+            want["special_2"] = expected_intersection(PartitionParameter(joint_cells, vec.spec2), b_side[1])
+            measured, ok = lab._exact_delta_table(m)
+            assert ok
+            assert {name: Fraction(measured[name]) for name in want} == want
+
+    def test_large_m_concentration_draws_one_basis_per_trial(self, monkeypatch):
+        # The exact-expectation check draws no pair of its own.
+        real = construction.sample_basis
+        calls = []
+
+        def counted(m, rng):
+            calls.append(m)
+            return real(m, rng)
+
+        monkeypatch.setattr(construction, "sample_basis", counted)
+        monkeypatch.setattr(lab, "sample_basis", counted, raising=False)
+        report = verify_concentration(ExperimentConfig(m=1_600_000, n=4, trials=1, seed=5))
+        assert report["checks"][0]["status"] == "pass"
+        assert calls == [1_600_000]
 
     def test_concentration_single_index_is_informational(self):
         cfg = ExperimentConfig(m=160, n=1, eps=0.05, trials=2, seed=7)

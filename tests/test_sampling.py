@@ -318,8 +318,8 @@ def random_refinement(m, gen):
 
 
 # 48 and 1040 items draw in multi-row chunks; above m = 32768 every chunk is
-# one row.
-@pytest.mark.parametrize("m", [48, 1040, 70_000])
+# one row, and 70001 items end on a pass of odd length.
+@pytest.mark.parametrize("m", [48, 1040, 70_000, 70_001])
 def test_refine_sample_matches_reference_draw_for_draw(m):
     reference = reference_refine_sample if m <= (1 << 16) // 2 else reference_one_row_refine_sample
     for seed in range(20):
@@ -329,6 +329,46 @@ def test_refine_sample_matches_reference_draw_for_draw(m):
             assert refine_sample(cells, rows, got_rng) == reference(cells, rows, want_rng)
         # Both consumed the same draws.
         assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
+
+
+def philox_state(gen):
+    """The counter, buffer position and buffered 32-bit half of a Philox
+    generator, the half only when one is buffered."""
+    state = gen.bit_generator.state
+    held = state["has_uint32"]
+    return state["state"]["counter"].tolist(), state["buffer_pos"], held, state["uinteger"] if held else None
+
+
+def start_labels(gen, how, held):
+    # Leave one 32-bit half buffered, or none, by uint32 draws or by shuffles.
+    if how == "uint32":
+        gen.integers(0, 1 << 32, size=2 + held, dtype=np.uint32)
+    else:
+        for k in range(2, 100):
+            gen.shuffle(np.arange(k))
+            if gen.bit_generator.state["has_uint32"] == held:
+                break
+    assert gen.bit_generator.state["has_uint32"] == held
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 32767, 32768, 70001])
+@pytest.mark.parametrize("how", ["uint32", "shuffle"])
+@pytest.mark.parametrize("held", [0, 1], ids=["none-held", "half-held"])
+def test_label_passes_draw_what_numpy_integers_draws(n, how, held):
+    # The one-row labels read raw Philox words; numpy's own uint16 draws,
+    # one call for all n, on a twin stream must match them, with the fix-up's
+    # item draws and shuffles in between, and leave the same state.
+    got, want = RngStream(61, 2).np, RngStream(61, 2).np
+    for gen in (got, want):
+        start_labels(gen, how, held)
+    for size in (5, 6):
+        labels = np.concatenate([draws for _, draws in sampling._label_passes(got.bit_generator, n)])
+        np.testing.assert_array_equal(labels, want.integers(0, 1 << 16, size=n, dtype=np.uint16))
+        assert philox_state(got) == philox_state(want)
+        for gen in (got, want):
+            gen.integers(0, 70_001, size=size)
+            gen.shuffle(np.arange(size))
+    assert philox_state(got) == philox_state(want)
 
 
 def test_refine_rows_meets_the_counts_across_chunks():
@@ -598,25 +638,25 @@ def test_one_row_fix_up_alone_is_uniform():
 
 
 class CountingGenerator:
-    """A numpy Generator that keeps every uint16 label draw and counts the
-    uniform item draws of the one-row fix-up."""
+    """A numpy Generator that counts the uniform item draws of the one-row
+    fix-up; its bit generator, which the labels read, passes through."""
 
     def __init__(self, gen):
-        self.gen, self.label_draws, self.item_draws = gen, [], 0
+        self.gen, self.item_draws = gen, 0
+
+    @property
+    def bit_generator(self):
+        return self.gen.bit_generator
 
     def integers(self, low, high, size, dtype=np.int64):
-        out = self.gen.integers(low, high, size=size, dtype=dtype)
-        if dtype == np.uint16:
-            self.label_draws.append(out)
-        else:
-            self.item_draws += size
-        return out
+        self.item_draws += size
+        return self.gen.integers(low, high, size=size, dtype=dtype)
 
     def shuffle(self, x):
         self.gen.shuffle(x)
 
 
-def test_one_row_sparse_surplus_is_released_uniformly_by_rejection():
+def test_one_row_sparse_surplus_is_released_uniformly_by_rejection(monkeypatch):
     # One 8-item cell with counts (1, 7) inside m = 70000; the other items
     # are one-class.  An item of the small cell draws label 0 below the
     # threshold (1 << 16) // 8, so its labels miss the counts on about 61 %
@@ -628,8 +668,17 @@ def test_one_row_sparse_surplus_is_released_uniformly_by_rejection():
     cells = [ItemSet.from_indices(m, small), ItemSet.full(m) - ItemSet.from_indices(m, small)]
     table = [(1, 7), (0, m - 8)]
     gen = CountingGenerator(RngStream(89, 0).np)
+    label_draws = []
+    label_passes = sampling._label_passes
+
+    def kept_label_passes(bitgen, n):
+        for a, draws in label_passes(bitgen, n):
+            label_draws.append(draws.copy())
+            yield a, draws
+
+    monkeypatch.setattr(sampling, "_label_passes", kept_label_passes)
     draws = refine_masks(cells, table, types.SimpleNamespace(np=gen), rows)
-    labels = np.concatenate(gen.label_draws).reshape(rows, m)[:, small] < (1 << 16) // 8
+    labels = np.concatenate(label_draws).reshape(rows, m)[:, small] < (1 << 16) // 8
     expected_draws = 0.0
     every, released = [0] * buckets, [0] * buckets
     for classes, low in zip(draws, labels):
