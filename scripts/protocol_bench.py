@@ -33,7 +33,7 @@ def main() -> None:
           f"{'cc_max':>8} {'P[ratio>bar]':>13}")
     for name in PROTOCOL_NAMES:
         cfg = ExperimentConfig(m=args.m, n=args.n, eps=args.eps, trials=args.trials, seed=args.seed, protocol=name)
-        measured = run_protocol_experiment(cfg)["checks"][0]["measured"]
+        measured = next(c["measured"] for c in run_protocol_experiment(cfg)["checks"] if c["name"] == "protocol_outcomes")
         print(f"{name:>15} {measured['ratio_mean']:>11.4f} {float(Fraction(measured['ratio_min'])):>10.4f} "
               f"{'/'.join(map(str, measured['rounds'])):>7} {measured['cc_bits_max']:>8} "
               f"{measured['exceedance_probability']:>13.2f}")

@@ -280,11 +280,13 @@ def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> B
     """Uniform draw over bases whose joint 64-cell profile with (s, a1, a2)
     equals the full profile, i.e. those making the given clause pair special."""
     m = s.m
-    vec = constant_vectors(m)
-    cells = part_cells(m, (*s.sets(), a1, a2))
-    if tuple(len(c) for c in cells) != vec.pair_profile:
+    x, y = _bits(m, a1), _bits(m, a2)
+    if not _are_clause_pairs([c.bits for c in s.cells], [x], [y], constant_vectors(m))[0]:
         raise ConstructionError("sets do not form a clause pair for this basis")
-    classes = _draw(_plan(second_basis_cell_counts(m)), [c.bits for c in cells], rng, 1)[0]
+    # The 16 cells of (s1, s2, a1, a2) in part_cells order: within each basis
+    # cell, neither, a2 only, a1 only, both.
+    cells = [c.bits & z for c in s.cells for z in (~(x | y), y & ~x, x & ~y, x & y)]
+    classes = _draw(_plan(second_basis_cell_counts(m)), cells, rng, 1)[0]
     return _basis_from_pattern_classes(m, classes)
 
 

@@ -27,12 +27,11 @@ from .construction import (
     ConstructionError,
     Instance,
     VARIANTS,
-    _compatible_cells,
     constant_vectors,
     reference_configuration,
     sample_instance,
 )
-from .itemsets import ItemSet
+from .itemsets import ItemSet, part_cells
 from .infotheory import verify_identities
 from .protocols import PROTOCOL_NAMES, run_on_instance
 from .rng import RngStream
@@ -88,6 +87,12 @@ class ExperimentConfig:
         self.validate()
 
     def validate(self) -> None:
+        for name in ("m", "n", "trials", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigError(f"{name} must be an int, got {value!r}")
+        if not isinstance(self.eps, float):
+            raise ConfigError(f"eps must be a float, got {self.eps!r}")
         if self.m < 16 or self.m % 16 != 0:
             raise ConfigError(f"m must be a positive multiple of 16, got {self.m}")
         if self.n < 1:
@@ -279,7 +284,7 @@ def _exact_delta_table(m: int) -> tuple[dict, bool]:
     scale = Fraction(m, REFERENCE_M)
     vec = constant_vectors(REFERENCE_M)
     s, t, _ = reference_configuration()
-    joint_cells = tuple(ItemSet._new(REFERENCE_M, c) for c in _compatible_cells(s, t))
+    joint_cells = tuple(part_cells(REFERENCE_M, (*s.sets(), *t.sets())))
 
     def clause_param(basis: Basis) -> PartitionParameter:
         return PartitionParameter(basis.cells, vec.reg)

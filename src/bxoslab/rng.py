@@ -24,7 +24,8 @@ import numpy as np
 # 5: one-row refinements draw those labels for the whole universe in item
 #    order and release each surplus by uniform rejection; draws at
 #    m <= 32768 are unchanged.
-STREAM_VERSION = 5
+# 6: one-row labels are the 16-bit lanes of raw Philox words.
+STREAM_VERSION = 6
 
 _MASK64 = (1 << 64) - 1
 

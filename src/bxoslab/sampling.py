@@ -13,8 +13,7 @@ that ``construction`` samples.  In-cell selection is a uniform permutation, or
 at large universes i.i.d. per-item labels, drawn for the whole universe in item
 order, whose class counts a fix-up by uniform rejection then makes exact;
 either is exactly uniform and runs at C speed for large cells.  The labels are
-numpy's 16-bit ``integers`` draws, read from the raw Philox words with numpy's
-buffered 32-bit half carried in and out, so they are the same draws.
+the 16-bit lanes of the raw Philox words.
 """
 
 from __future__ import annotations
@@ -89,8 +88,8 @@ class PartitionParameter:
 _BATCH_ITEMS = 1 << 16
 
 # Bits of the per-item draw of a one-row refinement, and the items drawn and
-# labelled per pass (even, so the passes draw what one call would; see
-# refine_masks).
+# labelled per pass (a multiple of four, so the passes read the raw words one
+# call would; see refine_masks).
 _LABEL_BITS = 16
 _LABEL_CHUNK = 1 << 15
 
@@ -212,17 +211,14 @@ def refine_masks(
     from all of them holds every class mask.
 
     Where every chunk is one row (``m > _BATCH_ITEMS // 2``), a row works
-    in item order.  Unless every cell lands in one class, it draws the
-    values of ``rng.np.integers(0, 1 << 16, size=m, dtype=np.uint16)``, one
-    per item of the universe in ascending order (in passes of
-    ``_LABEL_CHUNK`` items; an even pass length draws what one call would).
-    They are read from the bit generator's raw 64-bit words, four values
-    per word, low bits first, and the 32-bit half that numpy buffers
-    between draws is taken first and handed back as numpy would leave it,
-    so the values and the generator state after them are those of the
-    ``integers`` calls.  An item of a
-    multi-class cell of ``size`` items takes the label of how many of the
-    thresholds ``(cum << 16) // size`` it clears, ``cum`` running over its
+    in item order.  Unless every cell lands in one class, it reads one
+    16-bit draw per item of the universe in ascending order: the
+    little-endian 16-bit lanes, low lane first, of the raw 64-bit words of
+    ``rng.np.bit_generator.random_raw``, ``ceil(len / 4)`` words per pass of
+    ``_LABEL_CHUNK`` items.  A 32-bit half that numpy holds between draws
+    stays held for its next 32-bit draw.  An item of a multi-class cell of
+    ``size`` items takes the label of how many of the thresholds
+    ``(cum << 16) // size`` it clears, ``cum`` running over its
     row's cumulative counts but the last; one table per call, indexed by
     (cell, draw), holds every label, and the items of one-class cells take
     no label.  Then, cell by cell and class by class, each (cell, class)
@@ -352,29 +348,12 @@ def _release(members: np.ndarray, left: int, d: int, m: int, rng: RngStream) -> 
 
 def _label_passes(bitgen: np.random.BitGenerator, n: int) -> Iterator[tuple[int, np.ndarray]]:
     # The labels of n items, in passes of _LABEL_CHUNK as (first item,
-    # labels): each pass holds the draws of Generator.integers(0, 1 << 16,
-    # size=len(pass), dtype=np.uint16), read from bitgen's raw 64-bit words.
-    # A word is two 32-bit halves, low half first, and a half two labels, low
-    # first; a pass of odd length drops the high label of its last half.
-    # numpy keeps a half drawn but not used in the state (``has_uint32``,
-    # ``uinteger``) for the next 32-bit draw: the passes take it first, and
-    # hand the one they leave back once they are exhausted.
-    state = bitgen.state
-    carry = [state["uinteger"]] if state["has_uint32"] else []
+    # labels): a pass reads ceil(len / 4) raw 64-bit words as little-endian
+    # 16-bit lanes, low lane first.  A 32-bit half that numpy holds for its
+    # next 32-bit draw stays held.
     for a in range(0, n, _LABEL_CHUNK):
         size = min(_LABEL_CHUNK, n - a)
-        want = (size + 1) // 2 - len(carry)
-        halves = bitgen.random_raw((want + 1) // 2).astype("<u8", copy=False).view("<u4")
-        if carry:
-            halves = np.concatenate((np.array(carry, dtype="<u4"), halves))
-        carry = [int(halves[-1])] if want % 2 else []
-        yield a, halves.view("<u2")[:size]
-    if carry or state["has_uint32"]:
-        state = bitgen.state
-        state["has_uint32"] = len(carry)
-        if carry:
-            state["uinteger"] = carry[0]
-        bitgen.state = state
+        yield a, bitgen.random_raw(-(-size // 4)).astype("<u8", copy=False).view("<u2")[:size]
 
 
 def _labelled_rows(plan: _Plan, cells: Sequence[int], fixed: Sequence[int], rng: RngStream, rows: int) -> list[list[int]]:

@@ -365,6 +365,24 @@ class TestSamplers:
         with pytest.raises(ConstructionError):
             sample_special_pair(s, s, rng)
 
+    def test_second_basis_requires_a_clause_pair(self, rng):
+        s = sample_basis(160, rng)
+        (a1, a2), (_, b2) = sample_clause_pairs(s, rng, 2)
+        # Each breaks one profile: the second set's, the first's, and, with
+        # two clauses of the right sides, the overlap's.
+        assert is_clause(a1, s) and is_clause(b2, s.rev)
+        for x, y in [(a1, a1), (a2, a2), (a1, b2)]:
+            with pytest.raises(ConstructionError, match="sets do not form a clause pair for this basis"):
+                sample_second_basis(s, x, y, rng)
+
+    def test_second_basis_requires_sets_over_the_basis_universe(self, rng):
+        s = sample_basis(160, rng)
+        a1, a2 = sample_clause_pair(s, rng)
+        w = ItemSet.full(32)
+        for x, y in [(w, a2), (a1, w)]:
+            with pytest.raises(UniverseMismatch):
+                sample_second_basis(s, x, y, rng)
+
     def test_copies_never_share_a_clause(self, rng):
         # A set cannot satisfy the clause profile for a basis and its
         # reversal at once, so the two copies' clause lists are disjoint.

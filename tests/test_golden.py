@@ -25,7 +25,7 @@ from bxoslab.lab import (
     verify_theta_recovery,
 )
 
-GOLDEN_STREAM_VERSION = 5
+GOLDEN_STREAM_VERSION = 6
 
 # Names the draw stream and the numpy release in each digest failure, so a
 # numpy upgrade is told apart from a sampler change.
@@ -88,12 +88,12 @@ def test_gen_bytes_m1024(variant, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GEN_DIGESTS_M1024[variant], MISMATCH
 
 
-# m = 40000: one clause pair per refine_masks chunk, labelled by i.i.d. draws
-# over the whole universe in item order and fixed up by uniform rejection
-# (stream version 5).
+# m = 40000: one clause pair per refine_masks chunk, labelled by i.i.d.
+# 16-bit raw Philox lanes over the whole universe in item order and fixed up
+# by uniform rejection (stream version 6).
 GEN_DIGESTS_M40000 = {
     "nu": "a29ca6ea83bebc32652402f31be918a2b80bd6f0131d1595b20055ca48707fd7",
-    "nu_prime": "39ca7fb8d51d247f5b73a4d8911799a18de6de058a5a4c34cb1b59db46352bd2",
+    "nu_prime": "65180bf8e13a991d63452ab673702c0febe87ec5c7b91fc8e9db4a70043d08b8",
 }
 
 
@@ -178,7 +178,7 @@ GOLDEN_LARGE_M = {
     "verify-concentration": (
         verify_concentration,
         {"eps": 0.002},
-        "0b2de13581b49713dcddc1cd1191325073364e8db324bf39558727b5d3e9719b",
+        "9dfe33e8351101362545960e4c20659bbff2c5c386b2c673915be1b5d6ae57f6",
     ),
     "verify-theta-nu-prime": (
         verify_theta_recovery,

@@ -6,14 +6,14 @@ import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from bxoslab import ItemSet, PartitionParameter, RngStream, expected_intersection, sample_instance
+from bxoslab import PartitionParameter, RngStream, expected_intersection, part_cells, sample_instance
 from bxoslab import cli, construction, lab
 from bxoslab.cli import main as cli_main
 from bxoslab.construction import (
     ConstructionError,
-    _compatible_cells,
     constant_vectors,
     reference_instance,
     sample_basis,
@@ -50,6 +50,31 @@ class TestConfig:
             ExperimentConfig(m=160, variant="mu").validate()
         with pytest.raises(ConfigError):
             ExperimentConfig(m=160, protocol="nope").validate()
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("m", 160.0),
+            ("m", True),
+            ("n", 4.0),
+            ("n", True),
+            ("trials", 2.0),
+            ("trials", True),
+            ("seed", 1.5),
+            ("seed", np.int64(1)),
+            ("seed", False),
+            ("eps", 1),
+            ("eps", Fraction(1, 500)),
+            ("eps", "0.002"),
+        ],
+    )
+    def test_rejects_values_of_the_wrong_type(self, field, value):
+        # Each would pass the range checks and fail later, inside a driver.
+        with pytest.raises(ConfigError, match=f"{field} must be an? (int|float)"):
+            ExperimentConfig(**{"m": 160, field: value})
+
+    def test_numpy_float_eps_is_a_float(self):
+        assert ExperimentConfig(m=160, eps=np.float64(0.002)).eps == 0.002
 
     def test_invalid_config_cannot_be_built(self):
         with pytest.raises(ConfigError):
@@ -189,7 +214,7 @@ class TestDrivers:
             s = sample_basis(m, rng)
             t = sample_compatible(s, rng)
             vec = constant_vectors(m)
-            joint_cells = tuple(ItemSet._new(m, c) for c in _compatible_cells(s, t))
+            joint_cells = tuple(part_cells(m, (*s.sets(), *t.sets())))
             a_side = {1: PartitionParameter(s.cells, vec.reg), 2: PartitionParameter(s.rev.cells, vec.reg)}
             b_side = {1: PartitionParameter(t.cells, vec.reg), 2: PartitionParameter(t.rev.cells, vec.reg)}
             want = {f"regular_{i}{j}": expected_intersection(a_side[i], b_side[j]) for i in (1, 2) for j in (1, 2)}

@@ -254,10 +254,11 @@ def reference_refine_sample(base_cells, class_counts, rng):
 
 
 def reference_one_row_refine_sample(base_cells, class_counts, rng):
-    """One-row refinement of stream version 5: unless every cell is
-    one-class, one uint16 draw per item of the universe in ascending order,
-    each item of a multi-class cell labelled by the thresholds
-    ``(cum << 16) // size`` of its cell that it clears; then, cell by cell
+    """One-row refinement of stream version 6: unless every cell is
+    one-class, one 16-bit draw per item of the universe in ascending order,
+    the little-endian lanes, low lane first, of raw Philox words, each item
+    of a multi-class cell labelled by the thresholds ``(cum << 16) // size``
+    of its cell that it clears; then, cell by cell
     and class by class, each surplus released by sequential rejection over
     uniform items (batches of the expected number of draws still needed, at
     most 32768), and the released items given one shuffled multiset of the
@@ -275,7 +276,7 @@ def reference_one_row_refine_sample(base_cells, class_counts, rng):
         elif nonzero:
             multi.append((items, row))
     if multi:
-        draws = rng.np.integers(0, 1 << 16, size=m, dtype=np.uint16).astype(np.int64)
+        draws = rng.np.bit_generator.random_raw(-(-m // 4)).astype("<u8").view("<u2")[:m].astype(np.int64)
     for items, row in multi:
         thresholds = (np.cumsum(row)[:-1] << 16) // items.size
         labels[items] = np.searchsorted(thresholds, draws[items], side="right")
@@ -318,7 +319,7 @@ def random_refinement(m, gen):
 
 
 # 48 and 1040 items draw in multi-row chunks; above m = 32768 every chunk is
-# one row, and 70001 items end on a pass of odd length.
+# one row, and 70001 items end on a pass that uses one lane of its last word.
 @pytest.mark.parametrize("m", [48, 1040, 70_000, 70_001])
 def test_refine_sample_matches_reference_draw_for_draw(m):
     reference = reference_refine_sample if m <= (1 << 16) // 2 else reference_one_row_refine_sample
@@ -331,44 +332,32 @@ def test_refine_sample_matches_reference_draw_for_draw(m):
         assert got_rng.np.integers(1 << 62) == want_rng.np.integers(1 << 62)
 
 
-def philox_state(gen):
-    """The counter, buffer position and buffered 32-bit half of a Philox
-    generator, the half only when one is buffered."""
-    state = gen.bit_generator.state
-    held = state["has_uint32"]
-    return state["state"]["counter"].tolist(), state["buffer_pos"], held, state["uinteger"] if held else None
-
-
-def start_labels(gen, how, held):
-    # Leave one 32-bit half buffered, or none, by uint32 draws or by shuffles.
-    if how == "uint32":
-        gen.integers(0, 1 << 32, size=2 + held, dtype=np.uint32)
-    else:
-        for k in range(2, 100):
-            gen.shuffle(np.arange(k))
-            if gen.bit_generator.state["has_uint32"] == held:
-                break
-    assert gen.bit_generator.state["has_uint32"] == held
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 32767, 32768, 70001])
 @pytest.mark.parametrize("how", ["uint32", "shuffle"])
 @pytest.mark.parametrize("held", [0, 1], ids=["none-held", "half-held"])
-def test_label_passes_draw_what_numpy_integers_draws(n, how, held):
-    # The one-row labels read raw Philox words; numpy's own uint16 draws,
-    # one call for all n, on a twin stream must match them, with the fix-up's
-    # item draws and shuffles in between, and leave the same state.
+def test_label_passes_read_raw_philox_lanes(n, how, held):
+    # The one-row labels of n items are the little-endian 16-bit lanes, low
+    # lane first, of ceil(n / 4) raw words of a twin stream, read in one
+    # call.  A 32-bit half that numpy holds, left by uint32 draws or by
+    # shuffles, stays held: it is the next uint32 draw on both streams.
     got, want = RngStream(61, 2).np, RngStream(61, 2).np
     for gen in (got, want):
-        start_labels(gen, how, held)
-    for size in (5, 6):
-        labels = np.concatenate([draws for _, draws in sampling._label_passes(got.bit_generator, n)])
-        np.testing.assert_array_equal(labels, want.integers(0, 1 << 16, size=n, dtype=np.uint16))
-        assert philox_state(got) == philox_state(want)
-        for gen in (got, want):
-            gen.integers(0, 70_001, size=size)
-            gen.shuffle(np.arange(size))
-    assert philox_state(got) == philox_state(want)
+        if how == "uint32":
+            gen.integers(0, 1 << 32, size=2 + held, dtype=np.uint32)
+        else:
+            for k in range(2, 100):
+                gen.shuffle(np.arange(k))
+                if gen.bit_generator.state["has_uint32"] == held:
+                    break
+        assert gen.bit_generator.state["has_uint32"] == held
+    half = got.bit_generator.state["uinteger"]
+    labels = np.concatenate([draws for _, draws in sampling._label_passes(got.bit_generator, n)])
+    np.testing.assert_array_equal(labels, want.bit_generator.random_raw(-(-n // 4)).astype("<u8").view("<u2")[:n])
+    after = [gen.integers(0, 1 << 32, dtype=np.uint32) for gen in (got, want)]
+    assert after[0] == after[1]
+    if held:
+        assert after[0] == half
+    assert got.integers(1 << 62) == want.integers(1 << 62)
 
 
 def test_refine_rows_meets_the_counts_across_chunks():
