@@ -82,13 +82,9 @@ class Basis:
         # Swapping the halves swaps the two equal middle entries of the
         # profile, so the reversal is a basis and is built without
         # ``__post_init__``'s check.  It shares this basis's cells instead of
-        # holding a copy.  Only the reversal refers back: a basis that kept
-        # its reversal too would be a reference cycle, which holds both, with
-        # their m-bit masks, until the cyclic collector runs.
-        rev = self.__dict__.get("_rev")
-        if rev is None:
-            rev = object.__new__(Basis)
-            rev.__dict__.update(s1=self.s2, s2=self.s1, cells=_rev_order(self.cells), _rev=self)
+        # holding a copy, and neither refers to the other.
+        rev = object.__new__(Basis)
+        rev.__dict__.update(s1=self.s2, s2=self.s1, cells=_rev_order(self.cells))
         return rev
 
     def sets(self) -> tuple[ItemSet, ItemSet]:

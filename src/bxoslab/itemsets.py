@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import index
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
@@ -68,7 +69,10 @@ class ItemSet:
     def from_indices(cls, m: int, indices) -> "ItemSet":
         bits = 0
         for i in indices:
-            i = int(i)
+            try:
+                i = index(i)
+            except TypeError:
+                raise ValueError(f"item {i!r} is not an integer") from None
             if not 0 <= i < m:
                 raise ValueError(f"item {i} outside universe of size {m}")
             bits |= 1 << i

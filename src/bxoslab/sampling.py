@@ -99,18 +99,10 @@ class _Plan:
     the cell sizes, and with them the universe size, its rows must match;
     the one-class cells as ``(cell, class)``; the multi-class cells as
     ``(cell, a, b)``, side by side as the columns ``a:b`` of ``total``.
-    A table with no rows, rows of different lengths or a negative count
-    raises :class:`InvalidParameter` here, so the cache holds plans only of
-    tables that pass these checks."""
+    It only derives: the table reaches it checked, by :func:`_checked_plan`
+    or as one of ``construction``'s constant tables."""
 
     def __init__(self, table: tuple[tuple[int, ...], ...]) -> None:
-        if not table:
-            raise InvalidParameter("one count row per cell is required")
-        for row in table:
-            if len(row) != len(table[0]):
-                raise InvalidParameter("count rows have inconsistent lengths")
-            if row and min(row) < 0:
-                raise InvalidParameter(f"class counts {row} include a negative count")
         self.table = table
         self.sizes = tuple(sum(row) for row in table)
         self.m = sum(self.sizes)
@@ -137,34 +129,31 @@ class _Plan:
         return np.repeat(np.tile(offsets, len(rows)), [cnt for row in rows for cnt in row])
 
 
-# One plan per count table; a rejected table raises and is not cached.
+# One plan per count table; only checked tables reach it.
 _plan = lru_cache(maxsize=64)(_Plan)
 
 
-def _int_row(row: Sequence[int]) -> tuple[int, ...]:
-    # A count row as ints, the plan's cache key; a count that is not an
-    # integer raises at once.
-    try:
-        return tuple(map(index, row))
-    except TypeError:
-        raise InvalidParameter(f"class counts {tuple(row)} include a non-integer count") from None
-
-
 def _checked_plan(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]]) -> _Plan:
-    # The entry check of refine_masks: cells that partition the universe,
-    # integer count rows that the plan accepts, and one row per cell that
-    # sums to its size.  Only a call that passes leaves a plan in the cache.
+    # The entry check of refine_masks, in the order its docstring gives;
+    # only a table that passes reaches the plan cache.
     _check_partition(cells)
-    table = tuple(map(_int_row, class_counts))
-    sizes = tuple(map(len, cells))
-    if tuple(map(sum, table)) == sizes:
-        return _plan(table)
-    # The table's own faults come first, from an uncached plan.
-    plan = _Plan(table)
-    if len(sizes) != len(plan.sizes):
+    table = []
+    for row in class_counts:
+        try:
+            table.append(tuple(map(index, row)))
+        except TypeError:
+            raise InvalidParameter(f"class counts {tuple(row)} include a non-integer count") from None
+    for row in table:
+        if len(row) != len(table[0]):
+            raise InvalidParameter("count rows have inconsistent lengths")
+        if min(row, default=0) < 0:
+            raise InvalidParameter(f"class counts {row} include a negative count")
+    if len(table) != len(cells):
         raise InvalidParameter("one count row per cell is required")
-    row, size = next((row, size) for row, want, size in zip(plan.table, plan.sizes, sizes) if want != size)
-    raise InvalidParameter(f"class counts {row} do not sum to cell size {size}")
+    for row, cell in zip(table, cells):
+        if sum(row) != len(cell):
+            raise InvalidParameter(f"class counts {row} do not sum to cell size {len(cell)}")
+    return _plan(tuple(table))
 
 
 def refine_masks(
@@ -178,8 +167,11 @@ def refine_masks(
     The cells must partition the universe; ``class_counts[i]`` gives, for
     cell ``i``, how many of its items land in each of the ``c`` classes, as
     integer counts >= 0 that sum to its size (:class:`InvalidParameter`
-    otherwise).  :class:`PartitionParameter` checks its cells the same way and
-    names a count that does not fit.  ``construction``'s samplers skip this
+    otherwise).  The entry check is one pass that reports the first fault in
+    this order: the cells, non-integer counts, each row's length and sign in
+    row order, the number of rows, each row's sum.
+    :class:`PartitionParameter` checks its cells the same way and names a
+    count that does not fit.  ``construction``'s samplers skip this
     check and call the engine, ``_draw``: each of their partitions is checked
     once, where it is built, and ``Instance.validate`` recounts what they drew.
     Within a cell the assignment is uniform over all assignments meeting the
@@ -202,9 +194,9 @@ def refine_masks(
     the draw below, with several numpy calls per cell and class, costs about
     15 times as much per row (300 against 20 us for four 35-46-item cells).
     What the count table alone fixes is its plan, built once per table and
-    cached: the count-row checks, the cell sizes the rows must match, the
-    one-class and multi-class cells, the multi-class cells' columns of one
-    index array and each column's class.  A call unpacks all multi-class
+    cached: the cell sizes the rows must match, the one-class and
+    multi-class cells, the multi-class cells' columns of one index array
+    and each column's class.  A call unpacks all multi-class
     cells at once and broadcasts their items to every row of the chunk;
     after the draws, one add of the plan's class offsets and the row
     offsets places each item in its (row, class) block, and one set built

@@ -285,7 +285,7 @@ class TestSamplers:
             assert b.rev.sets() == (b.s2, b.s1)
             assert part_profile(m, b.rev.sets()) == constant_vectors(m).basis
             assert b.rev.cells == tuple(part_cells(m, b.rev.sets()))
-            assert b.rev.rev is b
+            assert b.rev.rev == b and b.rev.rev.cells == b.cells
 
     def test_a_basis_and_its_reversal_are_freed_by_reference_counting(self, rng):
         # At m = 1.6M each holds six m-bit masks; a reference cycle between

@@ -135,6 +135,28 @@ class TestItemSet:
         with pytest.raises(ValueError, match="outside universe"):
             ItemSet.from_numpy_indices(m, np.append(np.arange(n_valid), index))
 
+    @pytest.mark.parametrize(
+        "items, bad",
+        [
+            ([1.7, 2.2], "1.7"),
+            ([2, 3.0], "3.0"),
+            (np.array([0.9, 3.5]), "np.float64(0.9)"),
+            (["3"], "'3'"),
+            ([np.int64(1), None], "None"),
+        ],
+        ids=["floats", "integral-float", "float-array", "string", "none"],
+    )
+    def test_from_indices_rejects_non_integer_items(self, items, bad):
+        # Each item must be an integer, as from_numpy_indices asks of its
+        # dtype; truncation would build another set.
+        with pytest.raises(ValueError) as err:
+            ItemSet.from_indices(16, items)
+        assert str(err.value) == f"item {bad} is not an integer"
+        want = ItemSet(16, 0b1110)
+        assert ItemSet.from_indices(16, range(1, 4)) == want
+        assert ItemSet.from_indices(16, np.arange(1, 4, dtype=np.uint8)) == want
+        assert ItemSet.from_indices(16, [np.int64(1), 2, np.int32(3)]) == want
+
     @pytest.mark.parametrize("m", [16, 200])
     @pytest.mark.parametrize("dtype", [np.int64, np.uint8])
     def test_from_numpy_matches_from_indices_on_short_arrays(self, m, dtype):

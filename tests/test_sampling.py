@@ -470,6 +470,56 @@ def test_a_rejected_table_is_not_cached(m):
     assert sampling._plan.cache_info().misses == misses
 
 
+# Count tables with two or more faults, over two cells of h items (that
+# overlap where the case says so), and the one fault reported: the cells
+# first, then non-integer counts, then each row's length and sign in row
+# order, then the number of rows, then the first row whose sum is off.
+STACKED_FAULTS = {
+    "overlap-and-negative": lambda h: (True, [(h + 1, -1), (h, 0)], "cells are not pairwise disjoint"),
+    "negative-before-non-integer": lambda h: (
+        False,
+        [(h + 1, -1), (1.5, h - 1.5)],
+        f"class counts {(1.5, h - 1.5)} include a non-integer count",
+    ),
+    "length-before-non-integer": lambda h: (
+        False,
+        [(h,), (0.5, h - 0.5)],
+        f"class counts {(0.5, h - 0.5)} include a non-integer count",
+    ),
+    "negative-before-length": lambda h: (
+        False,
+        [(h + 1, -1), (h,)],
+        f"class counts {(h + 1, -1)} include a negative count",
+    ),
+    "length-before-negative": lambda h: (False, [(h, 0), (h,), (-1, h + 1)], "count rows have inconsistent lengths"),
+    "negative-before-row-count": lambda h: (
+        False,
+        [(h, 0), (h + 1, -1), (h, 0)],
+        f"class counts {(h + 1, -1)} include a negative count",
+    ),
+    "empty-table": lambda h: (False, [], "one count row per cell is required"),
+    "three-rows-for-two-cells": lambda h: (False, [(h // 2, h - h // 2)] * 3, "one count row per cell is required"),
+    "row-count-before-sum": lambda h: (False, [(h + 1, 0)], "one count row per cell is required"),
+    "two-sums-off": lambda h: (
+        False,
+        [(h // 2, h // 2 - 1), (h // 2 + 1, h // 2)],
+        f"class counts {(h // 2, h // 2 - 1)} do not sum to cell size {h}",
+    ),
+}
+
+
+# m = 16 draws in multi-row chunks, m = 40000 one row at a time.
+@pytest.mark.parametrize("m", [16, 40_000])
+@pytest.mark.parametrize("case", list(STACKED_FAULTS))
+def test_stacked_faults_are_reported_in_check_order(m, case, rng):
+    h = m // 2
+    overlap, table, message = STACKED_FAULTS[case](h)
+    cells = [ItemSet.from_indices(m, range(h + overlap * (m // 16))), ItemSet.from_indices(m, range(h, m))]
+    with pytest.raises(InvalidParameter) as err:
+        refine_masks(cells, table, rng, 2)
+    assert str(err.value) == message
+
+
 @pytest.mark.parametrize("m", [160, 40_000])
 def test_refine_rows_takes_a_numpy_count_table(m):
     # A table of numpy integers draws as the same table of ints does, into
