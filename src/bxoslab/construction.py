@@ -24,7 +24,7 @@ from typing import Iterable, Literal, Sequence
 
 from .itemsets import ItemSet, UniverseMismatch, part_cells, part_profile
 from .rng import RngStream
-from .sampling import InvalidParameter, _draw, _plan
+from .sampling import _checked_count, _draw, _plan
 
 Variant = Literal["nu", "nu_prime"]
 VARIANTS = ("nu", "nu_prime")
@@ -253,8 +253,7 @@ def sample_clause_pairs(base: Basis, rng: RngStream, count: int) -> list[tuple[I
     the second with respect to its reversal, and their overlap profile is
     fixed.
     """
-    if count < 0:
-        raise InvalidParameter(f"count must be >= 0, got {count}")
+    count = _checked_count(count, "count")
     m = base.m
     rows = _draw(_plan(clause_pair_cell_counts(m)), [c.bits for c in base.cells], rng, count)
     return [_pair_from_joint_classes(m, classes) for classes in rows]

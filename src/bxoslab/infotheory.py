@@ -135,36 +135,14 @@ class JointDistribution:
         table = self.table[..., None] * (codes[..., None] == np.arange(len(values)))
         return JointDistribution._from_table((*self.variables, name), (*self.labels, values), table)
 
-    def conditional(self, names: Sequence[str], given: Mapping[str, object]) -> dict[tuple, float]:
-        """Distribution of ``names`` given an assignment, as a plain table."""
-        index = [slice(None)] * self.table.ndim
-        labels = list(self.labels)
-        for c, v in zip(self._columns(tuple(given)), given.values()):
-            # A value off the axis selects an empty slice: probability zero.
-            j = labels[c].index(v) if v in labels[c] else len(labels[c])
-            index[c], labels[c] = slice(j, j + 1), (v,)
-        table = self.table[tuple(index)]
-        total = float(table.sum())
-        if total <= 0.0:
-            raise ValueError("conditioning event has probability zero")
-        return JointDistribution._from_table(self.variables, labels, table / total).marginal(names).probs
 
-
-def divergences(p, q) -> tuple[float, float]:
-    """(KL divergence in bits, total variation distance) between two laws.
-
-    Accepts plain probability tables or :class:`JointDistribution` operands;
-    joints must range over the same variables.  Outcomes missing from one
-    table carry zero mass.  KL is ``math.inf`` when ``q`` misses mass that
-    ``p`` has; total variation is half the L1 distance, which equals the
-    largest advantage of ``p`` over ``q`` on any event.
+def divergences(p: Mapping[object, float], q: Mapping[object, float]) -> tuple[float, float]:
+    """(KL divergence in bits, total variation distance) between two plain
+    probability tables.  Outcomes missing from one table carry zero mass.
+    KL is ``math.inf`` when ``q`` misses mass that ``p`` has; total
+    variation is half the L1 distance, which equals the largest advantage of
+    ``p`` over ``q`` on any event.
     """
-    if isinstance(p, JointDistribution) or isinstance(q, JointDistribution):
-        if not (isinstance(p, JointDistribution) and isinstance(q, JointDistribution)):
-            raise ValueError("cannot compare a joint against a bare table")
-        if p.variables != q.variables:
-            raise ValueError(f"variable mismatch: {p.variables} vs {q.variables}")
-        p, q = p.probs, q.probs
     support = set(p) | set(q)
     kl = 0.0
     l1 = 0.0

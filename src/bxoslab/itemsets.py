@@ -151,10 +151,6 @@ class ItemSet:
         _check_same_universe(self, other)
         return (self.bits & other.bits).bit_count()
 
-    def union_size(self, other: "ItemSet") -> int:
-        _check_same_universe(self, other)
-        return (self.bits | other.bits).bit_count()
-
     def isdisjoint(self, other: "ItemSet") -> bool:
         _check_same_universe(self, other)
         return self.bits & other.bits == 0

@@ -5,8 +5,8 @@ transcript received so far) to a bit-string message; the seller maps the two
 bidder-side transcripts either to a pair of reply messages or to termination;
 allocation and prices are computed from the full bidder-side transcripts.
 Communication cost counts every bidder message plus every seller message
-actually sent (the seller sends nothing in the final round).  A one-round
-protocol is *simultaneous*: the seller never speaks.
+actually sent (the seller sends nothing in the final round).  A protocol
+without a seller is *simultaneous*: one round, and the seller never speaks.
 
 Randomized protocols are seed-indexed families of deterministic protocols and
 are executed per seed.
@@ -28,8 +28,11 @@ Transcript = tuple[Message, ...]
 
 
 class ProtocolError(RuntimeError):
-    """A protocol misbehaved: bad message alphabet, overlapping allocation,
-    a simultaneous protocol that spoke as seller, or a blown round budget."""
+    """A protocol misbehaved: bad message alphabet, a non-allocation or a blown round budget."""
+
+
+# Rounds a protocol may run before execute gives up on it as non-terminating.
+MAX_ROUNDS = 64
 
 
 def encode_uint(value: int, width: int) -> Message:
@@ -64,11 +67,9 @@ def decode_basis(m: int, msg: Message) -> tuple[ItemSet, ItemSet]:
 
 @dataclass(frozen=True)
 class Protocol:
-    name: str
-    simultaneous: bool
     bidder_a: Callable[[BXOSValuation, Transcript], Message]
     bidder_b: Callable[[BXOSValuation, Transcript], Message]
-    seller: Callable[[Transcript, Transcript], Optional[tuple[Message, Message]]]
+    seller: Optional[Callable[[Transcript, Transcript], Optional[tuple[Message, Message]]]]
     alloc: Callable[[Transcript, Transcript], Allocation]
     price: Callable[[Transcript, Transcript], tuple[Fraction, Fraction]]
 
@@ -92,34 +93,25 @@ def _check_bits(msg: Message, origin: str) -> Message:
     return msg
 
 
-def execute(
-    protocol: Protocol,
-    va: BXOSValuation,
-    vb: BXOSValuation,
-    max_rounds: int = 64,
-) -> ProtocolOutcome:
+def execute(protocol: Protocol, va: BXOSValuation, vb: BXOSValuation) -> ProtocolOutcome:
     """Run the round structure to termination and account for every bit.
 
-    Raises :class:`ProtocolError` if the round budget is exceeded (standing
-    in for a non-terminating protocol) or if the allocation overlaps; a
-    protocol bug is surfaced, never silently repaired.
+    Raises :class:`ProtocolError` after :data:`MAX_ROUNDS` rounds (standing
+    in for a non-terminating protocol) or on a non-allocation; a protocol
+    bug is surfaced, never silently repaired.
     """
-    if max_rounds < 1:
-        raise ValueError("at least one round is required")
     from_a: list[Message] = []
     from_b: list[Message] = []
     to_a: list[Message] = []
     to_b: list[Message] = []
     while True:
-        if len(from_a) == max_rounds:
-            raise ProtocolError(f"round budget of {max_rounds} exceeded")
+        if len(from_a) == MAX_ROUNDS:
+            raise ProtocolError(f"round budget of {MAX_ROUNDS} exceeded")
         from_a.append(_check_bits(protocol.bidder_a(va, tuple(to_a)), "first bidder"))
         from_b.append(_check_bits(protocol.bidder_b(vb, tuple(to_b)), "second bidder"))
-        reply = protocol.seller(tuple(from_a), tuple(from_b))
+        reply = None if protocol.seller is None else protocol.seller(tuple(from_a), tuple(from_b))
         if reply is None:
             break
-        if protocol.simultaneous:
-            raise ProtocolError("a simultaneous protocol sent a seller message")
         msg_a, msg_b = reply
         to_a.append(_check_bits(msg_a, "seller"))
         to_b.append(_check_bits(msg_b, "seller"))
@@ -200,19 +192,13 @@ def _zero_prices(_a: Transcript, _b: Transcript) -> tuple[Fraction, Fraction]:
     return (Fraction(0), Fraction(0))
 
 
-def _bundle_report(width: int) -> Callable[[BXOSValuation, Transcript], Message]:
-    def report(v: BXOSValuation, _seen: Transcript) -> Message:
-        return encode_uint(v.value(ItemSet.full(v.m)), width)
-
-    return report
-
-
-def _grand_bundle_protocol(
-    m: int, name: str, price: Callable[[Transcript, Transcript], tuple[Fraction, Fraction]]
-) -> Protocol:
+def _grand_bundle_protocol(m: int, price: Callable[[Transcript, Transcript], tuple[Fraction, Fraction]]) -> Protocol:
     """One round: both bidders report their grand-bundle value and the whole
     universe goes to the higher reporter (ties to the first bidder)."""
     width = m.bit_length()
+
+    def report(v: BXOSValuation, _seen: Transcript) -> Message:
+        return encode_uint(v.value(ItemSet.full(v.m)), width)
 
     def alloc(from_a: Transcript, from_b: Transcript) -> Allocation:
         a_wins = decode_uint(from_a[0]) >= decode_uint(from_b[0])
@@ -220,20 +206,12 @@ def _grand_bundle_protocol(
         nothing = ItemSet.empty(m)
         return Allocation(everything, nothing) if a_wins else Allocation(nothing, everything)
 
-    return Protocol(
-        name=name,
-        simultaneous=True,
-        bidder_a=_bundle_report(width),
-        bidder_b=_bundle_report(width),
-        seller=lambda a, b: None,
-        alloc=alloc,
-        price=price,
-    )
+    return Protocol(bidder_a=report, bidder_b=report, seller=None, alloc=alloc, price=price)
 
 
 def trivial_bundle_protocol(m: int) -> Protocol:
     """Grand bundle to the higher reporter, free."""
-    return _grand_bundle_protocol(m, "trivial", _zero_prices)
+    return _grand_bundle_protocol(m, _zero_prices)
 
 
 def bundle_vickrey_protocol(m: int) -> Protocol:
@@ -247,7 +225,7 @@ def bundle_vickrey_protocol(m: int) -> Protocol:
             return (Fraction(bid_b), Fraction(0))
         return (Fraction(0), Fraction(bid_a))
 
-    return _grand_bundle_protocol(m, "vickrey-bundle", price)
+    return _grand_bundle_protocol(m, price)
 
 
 def basis_exchange_protocol(inst: Instance) -> Protocol:
@@ -289,8 +267,6 @@ def basis_exchange_protocol(inst: Instance) -> Protocol:
         return Allocation(chosen, ~chosen)
 
     return Protocol(
-        name="basis-exchange",
-        simultaneous=False,
         bidder_a=bidder_a,
         bidder_b=bidder_b,
         seller=seller,
@@ -312,11 +288,9 @@ def random_clause_protocol(m: int, seed: int) -> Protocol:
         return Allocation(chosen, ~chosen)
 
     return Protocol(
-        name="random-clause",
-        simultaneous=True,
         bidder_a=bidder_a,
         bidder_b=lambda v, seen: "",
-        seller=lambda a, b: None,
+        seller=None,
         alloc=alloc,
         price=_zero_prices,
     )

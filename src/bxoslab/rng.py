@@ -14,6 +14,8 @@ together with the golden digests that pin it.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 # 2: clause pairs of one basis are drawn as one batch (multi-row
@@ -38,19 +40,27 @@ def _mix64(a: int, b: int) -> int:
     return z ^ (z >> 31)
 
 
+def _word(value: int, name: str) -> int:
+    # A stream coordinate; reduced mod 2**64 instead, two names would share a stream.
+    value = operator.index(value)
+    if not 0 <= value <= _MASK64:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
+    return value
+
+
 class RngStream:
-    """A deterministic random stream identified by (seed, stream id)."""
+    """A deterministic random stream identified by (seed, stream id), each in [0, 2**64)."""
 
     def __init__(self, seed: int, stream: int = 0) -> None:
-        self.seed = seed & _MASK64
-        self.stream = stream & _MASK64
+        self.seed = _word(seed, "seed")
+        self.stream = _word(stream, "stream id")
         key = np.array([self.seed, self.stream], dtype=np.uint64)
         self.np = np.random.Generator(np.random.Philox(key=key))
 
     def child(self, index: int) -> "RngStream":
-        """Derive an independent stream; distinct indices never collide in
-        practice (64-bit mixed ids)."""
-        return RngStream(self.seed, _mix64(self.stream, index & _MASK64))
+        """Derive an independent stream from a child index in [0, 2**64);
+        distinct indices never collide in practice (64-bit mixed ids)."""
+        return RngStream(self.seed, _mix64(self.stream, _word(index, "child index")))
 
     def __repr__(self) -> str:
         return f"RngStream(seed={self.seed}, stream={self.stream})"

@@ -133,16 +133,31 @@ class _Plan:
 _plan = lru_cache(maxsize=64)(_Plan)
 
 
+def _checked_count(value: int, name: str) -> int:
+    # A number of rows to draw: an integer (numpy's too) >= 0.
+    try:
+        value = index(value)
+    except TypeError:
+        raise InvalidParameter(f"{name} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise InvalidParameter(f"{name} must be >= 0, got {value}")
+    return value
+
+
 def _checked_plan(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]]) -> _Plan:
     # The entry check of refine_masks, in the order its docstring gives;
     # only a table that passes reaches the plan cache.
     _check_partition(cells)
+    try:
+        given = [tuple(row) for row in class_counts]
+    except TypeError:
+        raise InvalidParameter(f"class counts {class_counts!r} are not rows of counts") from None
     table = []
-    for row in class_counts:
+    for row in given:
         try:
             table.append(tuple(map(index, row)))
         except TypeError:
-            raise InvalidParameter(f"class counts {tuple(row)} include a non-integer count") from None
+            raise InvalidParameter(f"class counts {row} include a non-integer count") from None
     for row in table:
         if len(row) != len(table[0]):
             raise InvalidParameter("count rows have inconsistent lengths")
@@ -167,9 +182,11 @@ def refine_masks(
     The cells must partition the universe; ``class_counts[i]`` gives, for
     cell ``i``, how many of its items land in each of the ``c`` classes, as
     integer counts >= 0 that sum to its size (:class:`InvalidParameter`
-    otherwise).  The entry check is one pass that reports the first fault in
-    this order: the cells, non-integer counts, each row's length and sign in
-    row order, the number of rows, each row's sum.
+    otherwise).  ``rows`` is checked first, as an integer (numpy's too, not
+    a float or a string) >= 0.  The entry check is then one pass that reports
+    the first fault in this order: the cells, a table or row that is not
+    iterable, non-integer counts, each row's length and sign in row order,
+    the number of rows, each row's sum.
     :class:`PartitionParameter` checks its cells the same way and names a
     count that does not fit.  ``construction``'s samplers skip this
     check and call the engine, ``_draw``: each of their partitions is checked
@@ -236,8 +253,7 @@ def refine_masks(
     buffers hold one cell id per item and 64 Ki labels per multi-class
     cell; nothing of them is cached.
     """
-    if rows < 0:
-        raise InvalidParameter(f"rows must be >= 0, got {rows}")
+    rows = _checked_count(rows, "rows")
     plan = _checked_plan(base_cells, class_counts)
     return _draw(plan, [c.bits for c in base_cells], rng, rows)
 

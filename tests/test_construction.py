@@ -785,6 +785,15 @@ class TestSamplersSkipTheEntryCheck:
         with pytest.raises(InvalidParameter, match="count must be >= 0, got -1"):
             sample_clause_pairs(sample_basis(16, rng), rng, -1)
 
+    def test_a_non_integer_clause_pair_count_is_rejected(self, rng):
+        base = sample_basis(16, rng)
+        for count, shown in ((1.5, "1.5"), ("2", "'2'")):
+            with pytest.raises(InvalidParameter) as err:
+                sample_clause_pairs(base, rng, count)
+            assert str(err.value) == f"count must be an integer, got {shown}"
+        want = sample_clause_pairs(base, RngStream(4, 2), 2)
+        assert sample_clause_pairs(base, RngStream(4, 2), np.int64(2)) == want
+
 
 def _put(seq, i, x):
     return seq[:i] + (x,) + seq[i + 1 :]

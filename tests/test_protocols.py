@@ -14,6 +14,8 @@ from bxoslab import (
     sample_instance,
 )
 from bxoslab.protocols import (
+    MAX_ROUNDS,
+    PROTOCOL_NAMES,
     Protocol,
     build_protocol,
     bundle_vickrey_protocol,
@@ -125,16 +127,14 @@ class TestExecuteAccounting:
         m = 4
         v = BXOSValuation((ItemSet.full(m),))
         chatty = Protocol(
-            name="chatty",
-            simultaneous=False,
             bidder_a=lambda val, seen: "0",
             bidder_b=lambda val, seen: "0",
             seller=lambda a, b: ("0", "0"),
             alloc=lambda a, b: Allocation(ItemSet.full(m), ItemSet.empty(m)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
         )
-        with pytest.raises(ProtocolError, match="round budget"):
-            execute(chatty, v, v, max_rounds=8)
+        with pytest.raises(ProtocolError, match=f"round budget of {MAX_ROUNDS} exceeded"):
+            execute(chatty, v, v)
 
     def test_bidders_see_the_seller_messages_sent_so_far(self):
         # Call k of a bidder receives exactly the seller's first k - 1
@@ -156,8 +156,6 @@ class TestExecuteAccounting:
 
         def protocol(seller):
             return Protocol(
-                name="recorder",
-                simultaneous=False,
                 bidder_a=bidder("a"),
                 bidder_b=bidder("b"),
                 seller=seller,
@@ -175,24 +173,9 @@ class TestExecuteAccounting:
 
         seen["a"].clear()
         seen["b"].clear()
-        with pytest.raises(ProtocolError, match="round budget of 3"):
-            execute(protocol(stop_after(None)), v, v, max_rounds=3)
-        assert len(seen["a"]) == len(seen["b"]) == 3
-
-    def test_simultaneous_flag_is_enforced(self):
-        m = 4
-        v = BXOSValuation((ItemSet.full(m),))
-        liar = Protocol(
-            name="liar",
-            simultaneous=True,
-            bidder_a=lambda val, seen: "",
-            bidder_b=lambda val, seen: "",
-            seller=lambda a, b: ("", ""),
-            alloc=lambda a, b: Allocation(ItemSet.full(m), ItemSet.empty(m)),
-            price=lambda a, b: (Fraction(0), Fraction(0)),
-        )
-        with pytest.raises(ProtocolError, match="simultaneous"):
-            execute(liar, v, v)
+        with pytest.raises(ProtocolError, match=f"round budget of {MAX_ROUNDS}"):
+            execute(protocol(stop_after(None)), v, v)
+        assert len(seen["a"]) == len(seen["b"]) == MAX_ROUNDS
 
     def test_overlapping_allocation_surfaces(self):
         # Disjointness lives in the Allocation constructor, so a buggy
@@ -200,11 +183,9 @@ class TestExecuteAccounting:
         m = 4
         v = BXOSValuation((ItemSet.full(m),))
         buggy = Protocol(
-            name="buggy",
-            simultaneous=True,
             bidder_a=lambda val, seen: "",
             bidder_b=lambda val, seen: "",
-            seller=lambda a, b: None,
+            seller=None,
             alloc=lambda a, b: Allocation(ItemSet.full(m), ItemSet.full(m)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
         )
@@ -215,11 +196,9 @@ class TestExecuteAccounting:
         m = 4
         v = BXOSValuation((ItemSet.full(m),))
         wrong = Protocol(
-            name="wrong",
-            simultaneous=True,
             bidder_a=lambda val, seen: "",
             bidder_b=lambda val, seen: "",
-            seller=lambda a, b: None,
+            seller=None,
             alloc=lambda a, b: (ItemSet.full(m), ItemSet.empty(m)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
         )
@@ -230,11 +209,9 @@ class TestExecuteAccounting:
         m = 4
         v = BXOSValuation((ItemSet.full(m),))
         noisy = Protocol(
-            name="noisy",
-            simultaneous=True,
             bidder_a=lambda val, seen: "2",
             bidder_b=lambda val, seen: "",
-            seller=lambda a, b: None,
+            seller=None,
             alloc=lambda a, b: Allocation(ItemSet.full(m), ItemSet.empty(m)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
         )
@@ -246,11 +223,9 @@ class TestExecuteAccounting:
 
         va, vb, *_ = build_valuations(nu_instance)
         lazy = Protocol(
-            name="lazy",
-            simultaneous=True,
             bidder_a=lambda val, seen: "",
             bidder_b=lambda val, seen: "",
-            seller=lambda a, b: None,
+            seller=None,
             alloc=lambda a, b: Allocation(ItemSet.empty(160), ItemSet.empty(160)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
         )
@@ -282,6 +257,14 @@ class TestTruthfulness:
     def test_single_valuation_never_violates(self, two_valuations):
         for p in (trivial_bundle_protocol(8), bundle_vickrey_protocol(8)):
             assert check_truthful(p, two_valuations[:1]) == []
+
+
+def test_only_basis_exchange_has_a_seller(nu_instance):
+    # A protocol without a seller is simultaneous: it runs one round.
+    sellers = {name: build_protocol(name, nu_instance).seller for name in PROTOCOL_NAMES}
+    assert [name for name, seller in sellers.items() if seller is not None] == ["basis-exchange"]
+    for name in PROTOCOL_NAMES:
+        assert run_on_instance(name, nu_instance)[0].rounds == (2 if sellers[name] else 1)
 
 
 def test_unknown_protocol_name(nu_instance):

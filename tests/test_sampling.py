@@ -191,6 +191,31 @@ class TestRefineSample:
         with pytest.raises(InvalidParameter, match="rows must be >= 0"):
             refine_masks(cells, table, rng, -2)
 
+    # A row or a table that is not iterable is a fault of the table, not a
+    # TypeError from inside the check.
+    @pytest.mark.parametrize("m", [16, 40_000])
+    def test_non_iterable_counts_raise(self, m, rng):
+        cells = [ItemSet.full(m)]
+        with pytest.raises(InvalidParameter) as err:
+            refine_masks(cells, [m], rng, 1)
+        assert str(err.value) == f"class counts {[m]!r} are not rows of counts"
+        for table in (m, None, [(m, 0), 3.5]):
+            with pytest.raises(InvalidParameter, match="are not rows of counts"):
+                refine_masks(cells, table, rng, 1)
+        with pytest.raises(InvalidParameter, match="are not rows of counts"):
+            refine_sample(cells, m, rng)
+
+    @pytest.mark.parametrize("m", [16, 40_000])
+    def test_non_integer_rows_raise(self, m, rng):
+        cells, table = [ItemSet.full(m)], [(m // 2, m - m // 2)]
+        for rows, shown in ((1.5, "1.5"), ("2", "'2'"), (2.0, "2.0"), (None, "None")):
+            with pytest.raises(InvalidParameter) as err:
+                refine_masks(cells, table, rng, rows)
+            assert str(err.value) == f"rows must be an integer, got {shown}"
+        want = refine_masks(cells, table, RngStream(8, 1), 2)
+        for rows in (np.int64(2), np.uint8(2)):
+            assert refine_masks(cells, table, RngStream(8, 1), rows) == want
+
     # m = 160 draws in multi-row chunks, m = 40000 one row at a time.
     @pytest.mark.parametrize("m", [160, 40_000])
     def test_zero_rows_draw_and_build_nothing(self, m, monkeypatch):
@@ -472,8 +497,9 @@ def test_a_rejected_table_is_not_cached(m):
 
 # Count tables with two or more faults, over two cells of h items (that
 # overlap where the case says so), and the one fault reported: the cells
-# first, then non-integer counts, then each row's length and sign in row
-# order, then the number of rows, then the first row whose sum is off.
+# first, then a table or row that is not iterable, then non-integer counts,
+# then each row's length and sign in row order, then the number of rows,
+# then the first row whose sum is off.
 STACKED_FAULTS = {
     "overlap-and-negative": lambda h: (True, [(h + 1, -1), (h, 0)], "cells are not pairwise disjoint"),
     "negative-before-non-integer": lambda h: (
@@ -496,6 +522,17 @@ STACKED_FAULTS = {
         False,
         [(h, 0), (h + 1, -1), (h, 0)],
         f"class counts {(h + 1, -1)} include a negative count",
+    ),
+    "overlap-and-not-a-table": lambda h: (True, h, "cells are not pairwise disjoint"),
+    "not-a-row-before-negative": lambda h: (
+        False,
+        [(h + 1, -1), h],
+        f"class counts {[(h + 1, -1), h]!r} are not rows of counts",
+    ),
+    "not-a-row-before-non-integer": lambda h: (
+        False,
+        [(0.5, h - 0.5), None],
+        f"class counts {[(0.5, h - 0.5), None]!r} are not rows of counts",
     ),
     "empty-table": lambda h: (False, [], "one count row per cell is required"),
     "three-rows-for-two-cells": lambda h: (False, [(h // 2, h - h // 2)] * 3, "one count row per cell is required"),
@@ -970,3 +1007,32 @@ class TestDeterminism:
         r2 = RngStream(9, 0).child(5)
         assert r1.stream == r2.stream
         assert int(r1.np.integers(1 << 60)) == int(r2.np.integers(1 << 60))
+
+    def test_stream_coordinates_outside_64_bits_are_rejected(self):
+        # Reduced mod 2**64, 2**64 would replay seed 0 and child -1 would
+        # replay child 2**64 - 1 under another name.
+        top = 2**64 - 1
+        for bad in (-1, 2**64):
+            with pytest.raises(ValueError, match=rf"seed must lie in \[0, 2\*\*64\), got {bad}"):
+                RngStream(bad)
+            with pytest.raises(ValueError, match=f"stream id must lie in .*, got {bad}"):
+                RngStream(0, bad)
+            with pytest.raises(ValueError, match=f"child index must lie in .*, got {bad}"):
+                RngStream(0).child(bad)
+        edge = RngStream(top, top)
+        assert (edge.seed, edge.stream) == (top, top)
+        assert edge.child(top).seed == top
+        for bad in (1.5, 2.0, "3", None):
+            with pytest.raises(TypeError):
+                RngStream(bad)
+            with pytest.raises(TypeError):
+                RngStream(0, bad)
+            with pytest.raises(TypeError):
+                RngStream(0).child(bad)
+
+    def test_numpy_integer_coordinates_draw_as_ints_do(self):
+        got = RngStream(np.uint64(9), np.int32(2)).child(np.int64(5))
+        want = RngStream(9, 2).child(5)
+        assert (type(got.seed), type(got.stream)) == (int, int)
+        assert (got.seed, got.stream) == (want.seed, want.stream)
+        assert int(got.np.integers(1 << 60)) == int(want.np.integers(1 << 60))
