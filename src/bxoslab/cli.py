@@ -2,11 +2,11 @@
 
 Verbs: ``gen`` writes a sampled instance as JSON; ``verify`` runs one of the
 verification drivers (concentration, theta, nu-equivalence, info); ``opt``
-reports the exact optimum of a stored instance; ``run`` executes a registered
-protocol over sampled instances.  Exit code 0 means every assertion in the
-report passed, 1 means an assertion failed, 2 means the invocation was
-unusable.  The default seed comes from ``BXOSLAB_SEED`` when set; the
-``--seed`` flag overrides it.
+prints the exact optimum of a stored instance; ``run`` executes a registered
+protocol over sampled instances.  Each verb offers only the options its
+driver reads, plus ``--seed`` and ``--out`` (``opt`` has neither).  Exit 0
+means every check passed, 1 that one failed, 2 an unusable invocation.  The
+default seed is ``$BXOSLAB_SEED`` (or 0); ``--seed`` overrides it.
 """
 
 from __future__ import annotations
@@ -62,13 +62,20 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"--out {path!r}: parent directory does not exist")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=160, help="universe size (multiple of 16)")
-    parser.add_argument("--n", type=int, default=4, help="clause indices per bidder")
-    parser.add_argument("--eps", type=float, default=0.002, help="slack fraction of m")
-    parser.add_argument("--trials", type=int, default=1, help="instances or trials to run")
+# Driver options and defaults; a report's config takes unoffered ones from here.
+_OPTIONS = {
+    "m": dict(type=int, default=160, help="universe size (multiple of 16)"),
+    "n": dict(type=int, default=4, help="clause indices per bidder"),
+    "eps": dict(type=float, default=0.002, help="slack fraction of m"),
+    "trials": dict(type=int, default=1, help="instances or trials to run"),
+    "variant": dict(choices=VARIANTS, default="nu"),
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, reads: tuple[str, ...] = tuple(_OPTIONS)) -> None:
+    for name in reads:
+        parser.add_argument(f"--{name}", **_OPTIONS[name])
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $BXOSLAB_SEED or 0)")
-    parser.add_argument("--variant", choices=VARIANTS, default="nu")
     parser.add_argument("--out", type=str, default=None, help="write the JSON result here")
 
 
@@ -79,13 +86,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="sample one instance and write it as JSON")
-    _add_common(gen)
+    _add_common(gen, ("m", "n", "variant"))
 
     verify = sub.add_parser("verify", help="run a verification driver")
-    verify.add_argument("what", choices=sorted(_VERIFIERS))
-    _add_common(verify)
+    what = verify.add_subparsers(dest="what", required=True)
+    reads = {"nu-equivalence": ("m", "n", "trials"), "info": ("trials",)}
+    for name in sorted(_VERIFIERS):
+        _add_common(what.add_parser(name), reads.get(name, tuple(_OPTIONS)))
 
-    opt = sub.add_parser("opt", help="exact optimum of a stored instance")
+    opt = sub.add_parser("opt", help="exact optimum of a stored instance, printed to stdout")
     opt.add_argument("--instance", type=str, required=True, help="path to an instance JSON")
     opt.add_argument("--bruteforce", action="store_true", help="also run the enumeration oracle")
 
@@ -97,15 +106,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace, protocol: str | None = None) -> ExperimentConfig:
     seed = args.seed if args.seed is not None else _default_seed()
-    return ExperimentConfig(
-        m=args.m,
-        n=args.n,
-        eps=args.eps,
-        trials=args.trials,
-        seed=seed,
-        variant=args.variant,
-        protocol=protocol,
-    )
+    options = {name: getattr(args, name, spec["default"]) for name, spec in _OPTIONS.items()}
+    return ExperimentConfig(**options, seed=seed, protocol=protocol)
 
 
 def main(argv: list[str] | None = None) -> int:

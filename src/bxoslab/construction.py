@@ -64,6 +64,8 @@ class Basis:
     cells: tuple[ItemSet, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.s1, ItemSet) and isinstance(self.s2, ItemSet)):
+            raise TypeError("basis halves must be ItemSets")
         if self.s1.m != self.s2.m:
             raise UniverseMismatch("basis halves live over different universes")
         expected = _scaled(_BASIS_BASE, self.m)

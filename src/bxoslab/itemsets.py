@@ -41,9 +41,12 @@ class ItemSet:
     bits: int
 
     def __post_init__(self) -> None:
-        if self.m <= 0:
-            raise ValueError(f"universe size must be positive, got {self.m}")
-        if self.bits < 0 or self.bits >> self.m:
+        # operator.index rejects a float or a str and makes a bool a plain int.
+        m, bits = index(self.m), index(self.bits)
+        self.__dict__.update(m=m, bits=bits)
+        if m <= 0:
+            raise ValueError(f"universe size must be positive, got {m}")
+        if bits < 0 or bits >> m:
             raise ValueError("bitmask sets items outside the universe")
 
     @classmethod
@@ -83,7 +86,9 @@ class ItemSet:
         """Set of the items in an integer index array (repeats allowed), by
         one scatter into a bool array of the universe and ``np.packbits``;
         raises ``ValueError`` for an index outside ``[0, m)`` or an array
-        of another dtype."""
+        of another dtype, and ``TypeError`` for a non-array."""
+        if not isinstance(indices, np.ndarray):
+            raise TypeError(f"item indices must be a numpy array, got {type(indices).__name__}")
         # numpy would index with a bool array as a mask.
         if indices.dtype.kind not in "iu":
             raise ValueError(f"item indices must be integers, got dtype {indices.dtype}")

@@ -44,7 +44,6 @@ from .valuations import (
     cross_floors,
     cross_intersections,
     opt_clause_pair,
-    oracle_allocation,
     recover_theta,
     recovery_threshold,
     split_masks,
@@ -109,12 +108,6 @@ class ExperimentConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.protocol is not None and self.protocol not in PROTOCOL_NAMES:
             raise ConfigError(f"unknown protocol {self.protocol!r}; known: {', '.join(PROTOCOL_NAMES)}")
-
-
-def frac_str(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
 
 
 def new_report(kind: str, cfg: ExperimentConfig) -> dict:
@@ -308,9 +301,9 @@ def _exact_delta_table(m: int) -> tuple[dict, bool]:
     ok = all(v == golden_reg for v in regular.values()) and all(
         v == golden_spec for v in special.values()
     )
-    measured = {k: frac_str(v) for k, v in {**regular, **special}.items()}
-    measured["golden_regular"] = frac_str(golden_reg)
-    measured["golden_special"] = frac_str(golden_spec)
+    measured = {k: str(v) for k, v in {**regular, **special}.items()}
+    measured["golden_regular"] = str(golden_reg)
+    measured["golden_special"] = str(golden_spec)
     return measured, ok
 
 
@@ -349,8 +342,8 @@ def verify_concentration(cfg: ExperimentConfig) -> dict:
         "instances_with_low_event": event_count,
     }
     thresholds = {
-        "regular_floor": frac_str(reg_bar),
-        "special_floor": frac_str(spec_bar),
+        "regular_floor": str(reg_bar),
+        "special_floor": str(spec_bar),
         "eps": cfg.eps,
     }
     # Every intersection clears its floor exactly when no instance has a low
@@ -368,8 +361,9 @@ def verify_theta_recovery(cfg: ExperimentConfig) -> dict:
 
     def measure(inst: Instance, _stream: RngStream) -> tuple[bool, int | str, Optional[int]]:
         va, vb, *_ = build_valuations(inst)
-        _, _, value = opt_clause_pair(va, vb)
-        guess = recover_theta(inst, oracle_allocation(va, vb).to_alice, cfg.eps)
+        i, _, value = opt_clause_pair(va, vb)
+        # The first bidder's side of oracle_allocation(va, vb), without a second search.
+        guess = recover_theta(inst, va.clauses[i], cfg.eps)
         outcome = "recovered" if guess == inst.theta else guess
         return value != m, outcome, _count_both_good(inst, cfg.eps) if m == 16 else None
 
@@ -393,7 +387,7 @@ def verify_theta_recovery(cfg: ExperimentConfig) -> dict:
         "theta_recovered_from_optimal_allocation",
         tally["recovered"] == cfg.trials,
         dict(tally),
-        {"bar": frac_str(recovery_threshold(m, cfg.eps)), "eps": cfg.eps},
+        {"bar": str(recovery_threshold(m, cfg.eps)), "eps": cfg.eps},
         runtime,
     )
     if both_good_counts:
@@ -407,7 +401,7 @@ def verify_theta_recovery(cfg: ExperimentConfig) -> dict:
                 "counts": both_good_counts,
                 "frequency": sum(both_good_counts) / (len(both_good_counts) * (1 << m)),
             },
-            {"bar": frac_str(recovery_threshold(m, cfg.eps))},
+            {"bar": str(recovery_threshold(m, cfg.eps))},
         )
     return report
 
@@ -537,15 +531,15 @@ def run_protocol_experiment(cfg: ExperimentConfig) -> dict:
         {
             "protocol": cfg.protocol,
             "instances": cfg.trials,
-            "ratio_min": frac_str(min(ratios)),
-            "ratio_max": frac_str(max(ratios)),
+            "ratio_min": str(min(ratios)),
+            "ratio_max": str(max(ratios)),
             "ratio_mean": float(sum(ratios) / len(ratios)),
             "welfare_mean": mean(welfares),
             "rounds": sorted(set(rounds)),
             "cc_bits_max": max(ccs),
             "exceedance_probability": exceed / cfg.trials,
         },
-        {"exceedance_bar": frac_str(exceed_bar)},
+        {"exceedance_bar": str(exceed_bar)},
         runtime,
     )
     return report

@@ -37,7 +37,10 @@ class InvalidParameter(ValueError):
 
 
 def _check_partition(cells: Sequence[ItemSet]) -> None:
-    # At least one cell, all of one universe, which they partition.
+    # ItemSet cells, at least one, all of one universe, which they partition.
+    for i, c in enumerate(cells):
+        if not isinstance(c, ItemSet):
+            raise InvalidParameter(f"cell {i} is not an ItemSet, got {type(c).__name__}")
     if not cells:
         raise InvalidParameter("at least one cell is required")
     m = cells[0].m

@@ -4,8 +4,10 @@ Whatever the input, each parser either returns a value that survives a
 round trip or raises its documented error type: ``ConstructionError`` for
 instance payloads, ``ValueError`` for ``ItemSet.from_hex``,
 ``ProtocolError`` for protocol messages, ``InvalidParameter`` for the count
-table and row count of ``refine_masks``, and ``ValueError`` or ``TypeError``
-for the coordinates of an ``RngStream``.
+table and row count of ``refine_masks``, ``ValueError`` or ``TypeError``
+for the coordinates of an ``RngStream`` and the arguments of the ``ItemSet``
+constructors, and ``InvalidParameter`` (``UniverseMismatch`` for cells of
+different widths) for the arguments of ``PartitionParameter``.
 """
 
 import json
@@ -15,8 +17,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bxoslab import InvalidParameter, ItemSet, RngStream, refine_masks, sample_instance
-from bxoslab.construction import ConstructionError
+from bxoslab import InvalidParameter, ItemSet, PartitionParameter, RngStream, refine_masks, sample_instance
+from bxoslab.construction import Basis, ConstructionError
+from bxoslab.itemsets import UniverseMismatch
 from bxoslab.lab import instance_from_json, instance_to_json
 from bxoslab.protocols import ProtocolError, decode_basis, decode_set, decode_uint, encode_basis, encode_set
 
@@ -167,3 +170,134 @@ def test_rng_stream_takes_only_64_bit_integers(seed, stream, index):
         return
     assert valid
     assert child.seed == seed
+
+
+# Values for a universe size, a bitmask or an item: ints of either sign, and
+# bools and numpy integers, which act as ints; then values that are not
+# integers.  Universe sizes stay small, so ItemSet.full never builds a huge int.
+int_like = st.booleans() | st.integers(0, 80).map(np.int64)
+sizes = st.integers(-8, 80) | int_like | not_counts
+masks = st.integers(-(2**90), 2**90) | int_like | not_counts
+
+
+def _is_int(x):
+    return isinstance(x, (int, np.integer))
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes, masks)
+def test_itemset_takes_only_integers_and_stores_plain_ints(m, bits):
+    try:
+        s = ItemSet(m, bits)
+    except TypeError:
+        assert not (_is_int(m) and _is_int(bits))
+        return
+    except ValueError:
+        assert _is_int(m) and _is_int(bits) and not (int(m) > 0 and 0 <= int(bits) < 1 << int(m))
+        return
+    assert type(s.m) is int and type(s.bits) is int and (s.m, s.bits) == (m, bits)
+    assert ItemSet.from_hex(s.m, s.to_hex()) == s and repr(s)
+
+
+index_arrays = st.tuples(
+    st.lists(st.integers(-100, 100), max_size=6),
+    st.sampled_from(["int64", "int16", "uint32", "float64", "bool", "object", "list", "tuple"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sizes, st.sampled_from(["empty", "full", "from_indices", "from_numpy_indices"]), index_arrays)
+def test_itemset_constructors_raise_only_declared_errors(m, constructor, items):
+    values, kind = items
+    if kind == "uint32":
+        values = [abs(v) for v in values]
+    indices = {"list": list, "tuple": tuple}.get(kind, lambda v: np.array(v, dtype=kind))(values)
+    args = () if constructor in ("empty", "full") else (indices,)
+    try:
+        s = getattr(ItemSet, constructor)(m, *args)
+    except (ValueError, TypeError):
+        return
+    assert type(s.m) is int and type(s.bits) is int and s.m == m and repr(s)
+    if constructor == "from_numpy_indices":
+        assert kind in ("int64", "int16", "uint32")
+    if args:
+        assert set(s) == set(values)
+    else:
+        assert len(s) == (s.m if constructor == "full" else 0)
+
+
+not_cells = not_counts | st.integers() | st.lists(st.integers(0, 7), max_size=3) | st.integers(0, 7).map(np.arange)
+
+
+@st.composite
+def partition_parameter_calls(draw):
+    """Cells that partition at most 24 items and counts that fit them, then,
+    unless the case is "none", one fault.  Returns the cells, the counts and
+    the case."""
+    m = draw(st.integers(1, 24))
+    n_cells = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, n_cells - 1), min_size=m, max_size=m))
+    cells = [ItemSet.from_indices(m, [i for i, k in enumerate(ids) if k == cell]) for cell in range(n_cells)]
+    counts = [draw(st.integers(0, len(c)) | st.integers(0, len(c)).map(np.int64)) for c in cells]
+    case = draw(st.sampled_from(["none", "cell", "width", "overlap", "gap", "count", "negative", "above", "length"]))
+    k = draw(st.integers(0, n_cells - 1))
+    if case == "cell":
+        cells[k] = draw(not_cells)
+    elif case == "width":
+        cells[k] = ItemSet(m + 1, cells[k].bits)
+    elif case == "overlap":
+        # Some cell holds an item, and the full set overlaps it.
+        cells.append(ItemSet.full(m))
+        counts.append(0)
+    elif case == "gap":
+        # Dropping a non-empty cell leaves its items uncovered, or no cells.
+        k = next(i for i, c in enumerate(cells) if c)
+        del cells[k], counts[k]
+    elif case == "count":
+        counts[k] = draw(not_counts)
+    elif case == "negative":
+        counts[k] = -draw(st.integers(1, 2**70))
+    elif case == "above":
+        counts[k] = len(cells[k]) + draw(st.integers(1, 2**70))
+    elif case == "length" and draw(st.booleans()):
+        counts.append(0)
+    elif case == "length":
+        counts.pop()
+    return tuple(cells), tuple(counts), case
+
+
+@settings(max_examples=300, deadline=None)
+@given(partition_parameter_calls())
+def test_partition_parameter_raises_only_invalid_parameter(call):
+    cells, counts, case = call
+    if case == "none":
+        assert PartitionParameter(cells, counts).sizes == tuple(map(len, cells))
+        return
+    # A cell of another width is reported as such when the others agree.
+    expected = (InvalidParameter, UniverseMismatch) if case == "width" else InvalidParameter
+    with pytest.raises(expected):
+        PartitionParameter(cells, counts)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: ItemSet(8, 1.0), TypeError),
+        (lambda: ItemSet(8.0, 1), TypeError),
+        (lambda: ItemSet("8", 1), TypeError),
+        (lambda: ItemSet.from_numpy_indices(8, [1, 2]), TypeError),
+        (lambda: Basis(1, 2), TypeError),
+        (lambda: refine_masks([255], [[8]], RngStream(0), 1), InvalidParameter),
+        (lambda: PartitionParameter((255,), (1,)), InvalidParameter),
+    ],
+    ids=["float-bits", "float-m", "str-m", "list-indices", "int-halves", "int-cell", "int-partition-cell"],
+)
+def test_bad_argument_types_raise_from_an_explicit_check(call, error):
+    # Each raised TypeError or AttributeError from inside a set operation.
+    with pytest.raises(error, match="cannot be interpreted as an integer|numpy array|ItemSet"):
+        call()
+
+
+def test_bool_universe_is_stored_as_an_int():
+    s = ItemSet(True, 1)
+    assert type(s.m) is int and repr(s) == "ItemSet(1, {0})"

@@ -1,4 +1,5 @@
 import json
+import re
 import runpy
 import sys
 import time
@@ -333,6 +334,35 @@ class TestReplay:
         assert calls == expected
 
 
+# The options each verb offers, with a value each parses.
+_DRIVER = ("--m", "--n", "--eps", "--trials", "--variant", "--seed", "--out")
+OFFERED_OPTIONS = {
+    ("gen",): ("--m", "--n", "--variant", "--seed", "--out"),
+    ("verify", "concentration"): _DRIVER,
+    ("verify", "theta"): _DRIVER,
+    ("verify", "nu-equivalence"): ("--m", "--n", "--trials", "--seed", "--out"),
+    ("verify", "info"): ("--trials", "--seed", "--out"),
+    ("run",): ("--protocol", *_DRIVER),
+    ("opt",): ("--instance", "--bruteforce"),
+}
+OPTION_VALUES = {
+    "--m": ("160",), "--n": ("4",), "--eps": ("0.002",), "--trials": ("1",), "--variant": ("nu_prime",),
+    "--seed": ("1",), "--out": ("r.json",), "--protocol": ("trivial",), "--instance": ("i.json",),
+    "--bruteforce": (),
+}
+# Options that no longer parse because the verb's driver never read them.
+UNREAD_OPTIONS = [
+    (("gen",), "--eps"),
+    (("gen",), "--trials"),
+    (("verify", "nu-equivalence"), "--eps"),
+    (("verify", "nu-equivalence"), "--variant"),
+    (("verify", "info"), "--m"),
+    (("verify", "info"), "--n"),
+    (("verify", "info"), "--eps"),
+    (("verify", "info"), "--variant"),
+]
+
+
 class TestCli:
     def test_gen_and_opt(self, tmp_path, capsys):
         out = tmp_path / "inst.json"
@@ -479,6 +509,39 @@ class TestCli:
         monkeypatch.setitem(cli._VERIFIERS, "info", driver)
         assert cli_main(["verify", "info", "--trials", "1"]) == 2
         assert capsys.readouterr().err == "error: MemoryError\n"
+
+    @pytest.mark.parametrize("verb, option", UNREAD_OPTIONS, ids=[" ".join((*v, o)) for v, o in UNREAD_OPTIONS])
+    def test_options_a_driver_does_not_read_are_not_accepted(self, verb, option, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*verb, "--seed", "1", option, *OPTION_VALUES[option]])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", list(OFFERED_OPTIONS), ids=" ".join)
+    def test_each_verb_offers_exactly_the_options_its_driver_reads(self, verb, capsys):
+        offered = OFFERED_OPTIONS[verb]
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*verb, "--help"])
+        assert exc.value.code == 0
+        assert set(re.findall(r"--\w+", capsys.readouterr().out)) == {"--help", *offered}
+        args = cli.build_parser().parse_args([*verb, *(a for o in offered for a in (o, *OPTION_VALUES[o]))])
+        for option in offered:
+            parsed = getattr(args, option[2:])
+            # A flag parses to True, an option to its value.
+            assert parsed is True if not OPTION_VALUES[option] else (str(parsed),) == OPTION_VALUES[option]
+
+    def test_reports_keep_the_default_config_of_options_not_offered(self, tmp_path):
+        # The config block of every report names all five driver options, so
+        # `verify info` and `verify nu-equivalence` record the defaults of
+        # those they do not offer; the report bytes depend on it.
+        defaults = {"m": 160, "n": 4, "eps": 0.002, "trials": 1, "seed": 2, "variant": "nu", "protocol": None}
+        out = tmp_path / "r.json"
+        assert cli_main(["verify", "info", "--trials", "3", "--seed", "2", "--out", str(out)]) == 0
+        assert list(json.loads(out.read_text())["config"].items()) == list({**defaults, "trials": 3}.items())
+        argv = ["verify", "nu-equivalence", "--m", "32", "--n", "2", "--trials", "20", "--seed", "2"]
+        assert cli_main([*argv, "--out", str(out)]) in (0, 1)
+        config = json.loads(out.read_text())["config"]
+        assert list(config.items()) == list({**defaults, "m": 32, "n": 2, "trials": 20}.items())
 
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
