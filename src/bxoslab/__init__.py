@@ -45,6 +45,7 @@ from .valuations import (
 )
 from .protocols import (
     PROTOCOL_NAMES,
+    Message,
     Protocol,
     ProtocolError,
     ProtocolOutcome,

@@ -28,6 +28,14 @@ def _check_same_universe(a: "ItemSet", b: "ItemSet") -> None:
         raise UniverseMismatch(f"universe widths differ: {a.m} != {b.m}")
 
 
+def _universe_size(m) -> int:
+    # operator.index rejects a float or a str and makes a bool a plain int.
+    m = index(m)
+    if m <= 0:
+        raise ValueError(f"universe size must be positive, got {m}")
+    return m
+
+
 @dataclass(frozen=True)
 class ItemSet:
     """Immutable subset of an ``m``-item universe.
@@ -41,11 +49,9 @@ class ItemSet:
     bits: int
 
     def __post_init__(self) -> None:
-        # operator.index rejects a float or a str and makes a bool a plain int.
-        m, bits = index(self.m), index(self.bits)
+        bits = index(self.bits)
+        m = _universe_size(self.m)
         self.__dict__.update(m=m, bits=bits)
-        if m <= 0:
-            raise ValueError(f"universe size must be positive, got {m}")
         if bits < 0 or bits >> m:
             raise ValueError("bitmask sets items outside the universe")
 
@@ -66,10 +72,12 @@ class ItemSet:
 
     @classmethod
     def full(cls, m: int) -> "ItemSet":
-        return cls(m, (1 << m) - 1)
+        m = _universe_size(m)
+        return cls._new(m, (1 << m) - 1)
 
     @classmethod
     def from_indices(cls, m: int, indices) -> "ItemSet":
+        m = _universe_size(m)
         bits = 0
         for i in indices:
             try:
@@ -79,7 +87,7 @@ class ItemSet:
             if not 0 <= i < m:
                 raise ValueError(f"item {i} outside universe of size {m}")
             bits |= 1 << i
-        return cls(m, bits)
+        return cls._new(m, bits)
 
     @classmethod
     def from_numpy_indices(cls, m: int, indices: np.ndarray) -> "ItemSet":
@@ -87,6 +95,7 @@ class ItemSet:
         one scatter into a bool array of the universe and ``np.packbits``;
         raises ``ValueError`` for an index outside ``[0, m)`` or an array
         of another dtype, and ``TypeError`` for a non-array."""
+        m = _universe_size(m)
         if not isinstance(indices, np.ndarray):
             raise TypeError(f"item indices must be a numpy array, got {type(indices).__name__}")
         # numpy would index with a bool array as a mask.
@@ -101,7 +110,7 @@ class ItemSet:
         except IndexError:
             raise ValueError(f"item index outside universe of size {m}") from None
         raw = np.packbits(buf, bitorder="little").tobytes()
-        return cls(m, int.from_bytes(raw, "little"))
+        return cls._new(m, int.from_bytes(raw, "little"))
 
     @classmethod
     def from_hex(cls, m: int, text: str) -> "ItemSet":

@@ -1,12 +1,16 @@
 """Two-bidder auction protocols with exact round and bit accounting.
 
 A protocol is five deterministic functions: each bidder maps (valuation,
-transcript received so far) to a bit-string message; the seller maps the two
+transcript received so far) to a :class:`Message`; the seller maps the two
 bidder-side transcripts either to a pair of reply messages or to termination;
 allocation and prices are computed from the full bidder-side transcripts.
-Communication cost counts every bidder message plus every seller message
-actually sent (the seller sends nothing in the final round).  A protocol
-without a seller is *simultaneous*: one round, and the seller never speaks.
+A message is a sized int: ``Message(width, value)`` is ``width`` bits, bit
+``i`` of ``value`` being bit ``i`` of the message, so a set message carries
+item ``i`` as bit ``i``, and a basis message its first set in the low ``m``
+bits.  Communication cost, ``cc_bits``, sums the widths of every bidder
+message plus every seller message actually sent (the seller sends nothing in
+the final round).  A protocol without a seller is *simultaneous*: one round,
+and the seller never speaks.
 
 Randomized protocols are seed-indexed families of deterministic protocols and
 are executed per seed.
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Callable, Optional, Sequence
 
 from .construction import Basis, Instance, _joint_cells, _table, constant_vectors
@@ -23,12 +28,38 @@ from .itemsets import ItemSet
 from .rng import _mix64
 from .valuations import Allocation, BXOSValuation, build_valuations, opt_clause_pair
 
-Message = str
+
+@dataclass(frozen=True)
+class Message:
+    """A ``width``-bit message: bit ``i`` of ``value`` is bit ``i`` of the
+    message, so ``len(msg)`` is ``width`` and leading zero bits count."""
+
+    width: int
+    value: int
+
+    def __post_init__(self) -> None:
+        width, value = index(self.width), index(self.value)
+        self.__dict__.update(width=width, value=value)
+        if width < 0:
+            raise ValueError(f"message width must be non-negative, got {width}")
+        if value < 0 or value >> width:
+            raise ValueError(f"message value is not a {width}-bit value")
+
+    def __len__(self) -> int:
+        return self.width
+
+    def __repr__(self) -> str:
+        # Hex, since a million-bit value exceeds int's decimal conversion limit.
+        return f"Message({self.width}, {self.value:#x})"
+
+
 Transcript = tuple[Message, ...]
+_EMPTY = Message(0, 0)
 
 
 class ProtocolError(RuntimeError):
-    """A protocol misbehaved: bad message alphabet, a non-allocation or a blown round budget."""
+    """A protocol misbehaved: a message that is not a Message, a field of the
+    wrong width, a non-allocation or a blown round budget."""
 
 
 # Rounds a protocol may run before execute gives up on it as non-terminating.
@@ -36,33 +67,36 @@ MAX_ROUNDS = 64
 
 
 def encode_uint(value: int, width: int) -> Message:
-    if value < 0 or value >> width:
-        raise ValueError(f"{value} does not fit in {width} bits")
-    return format(value, f"0{width}b") if width else ""
+    """``value`` as a ``width``-bit message; ``ValueError`` if it does not fit."""
+    return Message(width, value)
+
 
 def decode_uint(msg: Message) -> int:
-    return int(_check_bits(msg, "integer field"), 2) if msg else 0
+    return _check_bits(msg, "integer field").value
 
 
 def encode_set(s: ItemSet) -> Message:
-    """Raw m-bit string, item 0 first."""
-    return format(s.bits, f"0{s.m}b")[::-1]
+    """Raw m-bit message, item i as bit i."""
+    return Message(s.m, s.bits)
 
 
 def decode_set(m: int, msg: Message) -> ItemSet:
-    if len(msg) != m:
-        raise ProtocolError(f"set message has {len(msg)} bits, expected {m}")
-    return ItemSet(m, int(_check_bits(msg, "set field")[::-1], 2))
+    width = _check_bits(msg, "set field").width
+    if width != m:
+        raise ProtocolError(f"set message has {width} bits, expected {m}")
+    return ItemSet._new(width, msg.value)
 
 
 def encode_basis(s1: ItemSet, s2: ItemSet) -> Message:
-    return encode_set(s1) + encode_set(s2)
+    """The two set messages one after the other: ``s1`` in the low bits."""
+    return Message(s1.m + s2.m, s1.bits | s2.bits << s1.m)
 
 
 def decode_basis(m: int, msg: Message) -> tuple[ItemSet, ItemSet]:
-    if len(msg) != 2 * m:
-        raise ProtocolError(f"basis message has {len(msg)} bits, expected {2 * m}")
-    return decode_set(m, msg[:m]), decode_set(m, msg[m:])
+    width = _check_bits(msg, "basis field").width
+    if width != 2 * m:
+        raise ProtocolError(f"basis message has {width} bits, expected {2 * m}")
+    return ItemSet._new(m, msg.value & ((1 << m) - 1)), ItemSet._new(m, msg.value >> m)
 
 
 @dataclass(frozen=True)
@@ -87,8 +121,7 @@ class ProtocolOutcome:
 
 
 def _check_bits(msg: Message, origin: str) -> Message:
-    # int(msg, 2) alone would also take "_", a sign, spaces and Unicode digits.
-    if not isinstance(msg, str) or not msg.isascii() or msg.encode().translate(None, b"01"):
+    if not isinstance(msg, Message):
         raise ProtocolError(f"non-binary message ({origin})")
     return msg
 
@@ -246,7 +279,7 @@ def basis_exchange_protocol(inst: Instance) -> Protocol:
 
     def bidder_a(v: BXOSValuation, seen: Transcript) -> Message:
         if not seen:
-            return ""
+            return _EMPTY
         joint = _joint_cells(s, Basis(*decode_basis(m, seen[0])))
         for clause in v.clauses:
             if _table(joint, (clause.bits,))[0] in (vec.spec1, vec.spec2):
@@ -255,11 +288,11 @@ def basis_exchange_protocol(inst: Instance) -> Protocol:
         return encode_set(v.clauses[0])
 
     def bidder_b(v: BXOSValuation, seen: Transcript) -> Message:
-        return encode_basis(t.s1, t.s2) if not seen else ""
+        return encode_basis(t.s1, t.s2) if not seen else _EMPTY
 
     def seller(from_a: Transcript, from_b: Transcript) -> Optional[tuple[Message, Message]]:
         if len(from_a) == 1:
-            return (from_b[0], "")
+            return (from_b[0], _EMPTY)
         return None
 
     def alloc(from_a: Transcript, from_b: Transcript) -> Allocation:
@@ -289,7 +322,7 @@ def random_clause_protocol(m: int, seed: int) -> Protocol:
 
     return Protocol(
         bidder_a=bidder_a,
-        bidder_b=lambda v, seen: "",
+        bidder_b=lambda v, seen: _EMPTY,
         seller=None,
         alloc=alloc,
         price=_zero_prices,

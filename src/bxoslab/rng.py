@@ -59,7 +59,12 @@ class RngStream:
 
     def child(self, index: int) -> "RngStream":
         """Derive an independent stream from a child index in [0, 2**64);
-        distinct indices never collide in practice (64-bit mixed ids)."""
+        distinct indices never collide in practice (64-bit mixed ids).
+
+        The one fixed point: ``_mix64(0, 0) == 0``, so ``child(0)`` of a
+        stream with id 0 is that stream itself, and ``RngStream(s).child(0)``
+        draws exactly what ``RngStream(s)`` draws.  A root that hands out
+        children should therefore draw nothing itself."""
         return RngStream(self.seed, _mix64(self.stream, _word(index, "child index")))
 
     def __repr__(self) -> str:

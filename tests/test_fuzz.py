@@ -5,9 +5,10 @@ round trip or raises its documented error type: ``ConstructionError`` for
 instance payloads, ``ValueError`` for ``ItemSet.from_hex``,
 ``ProtocolError`` for protocol messages, ``InvalidParameter`` for the count
 table and row count of ``refine_masks``, ``ValueError`` or ``TypeError``
-for the coordinates of an ``RngStream`` and the arguments of the ``ItemSet``
-constructors, and ``InvalidParameter`` (``UniverseMismatch`` for cells of
-different widths) for the arguments of ``PartitionParameter``.
+for the coordinates of an ``RngStream``, the fields of a ``Message`` and the
+arguments of the ``ItemSet`` constructors, and ``InvalidParameter``
+(``UniverseMismatch`` for cells of different widths) for the arguments of
+``PartitionParameter``.
 """
 
 import json
@@ -15,13 +16,22 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bxoslab import InvalidParameter, ItemSet, PartitionParameter, RngStream, refine_masks, sample_instance
 from bxoslab.construction import Basis, ConstructionError
 from bxoslab.itemsets import UniverseMismatch
 from bxoslab.lab import instance_from_json, instance_to_json
-from bxoslab.protocols import ProtocolError, decode_basis, decode_set, decode_uint, encode_basis, encode_set
+from bxoslab.protocols import (
+    Message,
+    ProtocolError,
+    decode_basis,
+    decode_set,
+    decode_uint,
+    encode_basis,
+    encode_set,
+    encode_uint,
+)
 
 VALID = instance_to_json(sample_instance(16, 3, "nu", RngStream(5, 0)))
 
@@ -33,8 +43,6 @@ json_values = st.recursive(
     max_leaves=8,
 )
 hexish = st.text(alphabet="0123456789abcdefABCDEF _-xg", max_size=6)
-# Near-binary text: the characters int(msg, 2) would also accept, plus noise.
-noisy_bits = st.text(alphabet="01_ +-\t\n2", max_size=24) | st.text(max_size=12)
 
 
 @st.composite
@@ -70,43 +78,6 @@ def test_from_hex_raises_only_value_error(m, text):
     except ValueError:
         return
     assert s.m == m and s.to_hex() == text
-
-
-@settings(max_examples=300, deadline=None)
-@given(noisy_bits)
-def test_decode_uint_accepts_only_binary(msg):
-    try:
-        value = decode_uint(msg)
-    except ProtocolError:
-        assert set(msg) - {"0", "1"}
-        return
-    assert set(msg) <= {"0", "1"}
-    assert value == (int(msg, 2) if msg else 0)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.integers(1, 12), noisy_bits)
-def test_decode_set_and_basis_accept_only_binary(m, msg):
-    for decode, encode, width in (
-        (decode_set, encode_set, m),
-        (decode_basis, lambda pair: encode_basis(*pair), 2 * m),
-    ):
-        try:
-            value = decode(m, msg)
-        except ProtocolError:
-            assert len(msg) != width or set(msg) - {"0", "1"}
-            continue
-        assert encode(value) == msg
-
-
-# int(s, 2) also takes Unicode decimal digits ("\uff10" is a fullwidth zero,
-# "\u0661" an Arabic-Indic one); a lone surrogate cannot even be encoded.
-@pytest.mark.parametrize("msg", ["0_1", " 01", "01 ", "+01", "0b1", "\uff101", "1\u00b2", "\u0661", "\ud800"])
-def test_python_int_literal_syntax_is_rejected(msg):
-    with pytest.raises(ProtocolError, match="non-binary"):
-        decode_set(len(msg), msg)
-    with pytest.raises(ProtocolError, match="non-binary"):
-        decode_uint(msg)
 
 
 # Values that are not a count: floats (integral ones too), strings, None.
@@ -199,6 +170,69 @@ def test_itemset_takes_only_integers_and_stores_plain_ints(m, bits):
     assert ItemSet.from_hex(s.m, s.to_hex()) == s and repr(s)
 
 
+@settings(max_examples=300, deadline=None)
+@given(sizes, masks)
+def test_message_takes_only_sized_ints(width, value):
+    try:
+        msg = Message(width, value)
+    except TypeError:
+        assert not (_is_int(width) and _is_int(value))
+        return
+    except ValueError:
+        w, v = int(width), int(value)
+        assert _is_int(width) and _is_int(value) and not (w >= 0 and 0 <= v < 1 << w)
+        return
+    assert type(msg.width) is int and type(msg.value) is int and (len(msg), msg.value) == (width, value)
+
+
+# Bit strings, the message type before sized ints, are not messages; nor is
+# text int(msg, 2) would read as binary, or any other type.
+INT_LITERALS = ["0_1", " 01", "01 ", "+01", "0b1", "\uff101", "1\u00b2", "\u0661", "\ud800"]
+not_messages = (
+    st.text(alphabet="01_ +-\t\n2", max_size=24)
+    | st.text(max_size=12)
+    | st.sampled_from(INT_LITERALS)
+    | st.integers()
+    | st.none()
+    | st.binary(max_size=4)
+    | st.tuples(st.integers(0, 8), st.integers(0, 255))
+)
+messages = st.integers(0, 30).flatmap(lambda w: st.builds(Message, st.just(w), st.integers(0, (1 << w) - 1)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), not_messages | messages)
+def test_decoders_accept_only_messages_of_their_width(m, msg):
+    for decode, width in ((decode_uint, None), (lambda x: decode_set(m, x), m), (lambda x: decode_basis(m, x), 2 * m)):
+        if not isinstance(msg, Message):
+            with pytest.raises(ProtocolError, match="non-binary"):
+                decode(msg)
+        elif width is not None and len(msg) != width:
+            with pytest.raises(ProtocolError, match=f"message has {len(msg)} bits, expected {width}"):
+                decode(msg)
+        else:
+            decode(msg)
+
+
+# Every run tries each literal, not only the ones hypothesis happens to draw.
+for _literal in INT_LITERALS:
+    test_decoders_accept_only_messages_of_their_width = example(len(_literal), _literal)(
+        test_decoders_accept_only_messages_of_their_width
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 12), st.data())
+def test_decode_inverts_encode(m, data):
+    msg = data.draw(st.builds(Message, st.just(m), st.integers(0, (1 << m) - 1)))
+    pair = data.draw(st.builds(Message, st.just(2 * m), st.integers(0, (1 << 2 * m) - 1)))
+    s = ItemSet(m, msg.value)
+    assert decode_uint(encode_uint(msg.value, m)) == msg.value and encode_uint(decode_uint(msg), m) == msg
+    assert decode_set(m, encode_set(s)) == s and encode_set(decode_set(m, msg)) == msg
+    s1, s2 = decode_basis(m, pair)
+    assert encode_basis(s1, s2) == pair and decode_basis(m, encode_basis(s, ~s)) == (s, ~s)
+
+
 index_arrays = st.tuples(
     st.lists(st.integers(-100, 100), max_size=6),
     st.sampled_from(["int64", "int16", "uint32", "float64", "bool", "object", "list", "tuple"]),
@@ -213,6 +247,15 @@ def test_itemset_constructors_raise_only_declared_errors(m, constructor, items):
         values = [abs(v) for v in values]
     indices = {"list": list, "tuple": tuple}.get(kind, lambda v: np.array(v, dtype=kind))(values)
     args = () if constructor in ("empty", "full") else (indices,)
+    # Every constructor checks the universe size before it uses it.
+    if not _is_int(m):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            getattr(ItemSet, constructor)(m, *args)
+        return
+    if m <= 0:
+        with pytest.raises(ValueError, match=f"universe size must be positive, got {int(m)}"):
+            getattr(ItemSet, constructor)(m, *args)
+        return
     try:
         s = getattr(ItemSet, constructor)(m, *args)
     except (ValueError, TypeError):

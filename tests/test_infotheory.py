@@ -196,3 +196,11 @@ class TestIdentitySuite:
     def test_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             verify_identities(0, RngStream(6, 0))
+
+    def test_root_stream_draws_nothing(self):
+        # verify info roots at stream 0, whose child(0) is the root itself,
+        # so a draw from the root would repeat the first trial's draws.
+        rng = RngStream(6, 0)
+        state = repr(rng.np.bit_generator.state)
+        verify_identities(3, rng)
+        assert repr(rng.np.bit_generator.state) == state

@@ -333,6 +333,23 @@ class TestReplay:
                 expected.append((cfg.m, cfg.n, variant or cfg.variant, child.seed, child.stream))
         assert calls == expected
 
+    def test_the_root_stream_draws_nothing(self, monkeypatch):
+        # At stream base 0, child(0) is the root stream itself, so a draw from
+        # the root would repeat trial 0's draws.
+        roots = []
+
+        class Recorded(RngStream):
+            def __init__(self, seed, stream=0):
+                super().__init__(seed, stream)
+                roots.append((self, repr(self.np.bit_generator.state)))
+
+        monkeypatch.setattr(lab, "RngStream", Recorded)
+        cfg = ExperimentConfig(m=32, n=3, trials=3, seed=17)
+        results, _ = lab._trials(cfg, 0, lambda inst, stream: int(stream.np.integers(1 << 60)))
+        assert len(roots) == 1 and len(set(results)) == 3
+        root, state = roots[0]
+        assert repr(root.np.bit_generator.state) == state
+
 
 # The options each verb offers, with a value each parses.
 _DRIVER = ("--m", "--n", "--eps", "--trials", "--variant", "--seed", "--out")

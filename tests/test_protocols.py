@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from bxoslab import (
 from bxoslab.protocols import (
     MAX_ROUNDS,
     PROTOCOL_NAMES,
+    Message,
     Protocol,
     build_protocol,
     bundle_vickrey_protocol,
@@ -40,10 +42,21 @@ def test_uint_roundtrip():
 
 def test_set_encoding_is_item0_first():
     s = ItemSet.from_indices(4, [0, 2])
-    assert encode_set(s) == "1010"
-    assert decode_set(4, "1010") == s
+    assert encode_set(s) == Message(4, 0b0101)
+    assert decode_set(4, Message(4, 0b0101)) == s
+    assert encode_basis(s, ~s) == Message(8, 0b1010_0101)
     b1, b2 = decode_basis(4, encode_basis(s, ~s))
     assert (b1, b2) == (s, ~s)
+
+
+def test_messages_stay_packed():
+    # One int per message: bit strings would take 5m bytes, 8x the bound.
+    m = 16_000
+    outcome, _, ratio = run_on_instance("basis-exchange", sample_instance(m, 2, "nu", RngStream(79, 0)))
+    transcript = outcome.from_a + outcome.from_b + outcome.to_a + outcome.to_b
+    assert outcome.cc_bits == 5 * m and ratio == 1
+    assert all(isinstance(msg, Message) for msg in transcript)
+    assert sum(sys.getsizeof(msg.value) for msg in transcript) < 5 * m // 8 + 1024
 
 
 @pytest.fixture(scope="module")
@@ -127,9 +140,9 @@ class TestExecuteAccounting:
         m = 4
         v = BXOSValuation((ItemSet.full(m),))
         chatty = Protocol(
-            bidder_a=lambda val, seen: "0",
-            bidder_b=lambda val, seen: "0",
-            seller=lambda a, b: ("0", "0"),
+            bidder_a=lambda val, seen: Message(1, 0),
+            bidder_b=lambda val, seen: Message(1, 0),
+            seller=lambda a, b: (Message(1, 0), Message(1, 0)),
             alloc=lambda a, b: Allocation(ItemSet.full(m), ItemSet.empty(m)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
         )
@@ -146,13 +159,13 @@ class TestExecuteAccounting:
         def bidder(side):
             def speak(val, transcript):
                 seen[side].append(transcript)
-                return "1" * len(seen[side])
+                return Message(len(seen[side]), (1 << len(seen[side])) - 1)
 
             return speak
 
         def stop_after(rounds):
             # Distinct replies per round and per bidder; None ends the run.
-            return lambda a, b: None if len(a) == rounds else ("0" * len(a), "1" + "0" * len(a))
+            return lambda a, b: None if len(a) == rounds else (Message(len(a), 0), Message(len(a) + 1, 1))
 
         def protocol(seller):
             return Protocol(
@@ -165,8 +178,8 @@ class TestExecuteAccounting:
 
         outcome = execute(protocol(stop_after(4)), v, v)
         assert outcome.rounds == len(outcome.from_a) == 4
-        assert outcome.to_a == ("0", "00", "000")
-        assert outcome.to_b == ("10", "100", "1000")
+        assert outcome.to_a == (Message(1, 0), Message(2, 0), Message(3, 0))
+        assert outcome.to_b == (Message(2, 1), Message(3, 1), Message(4, 1))
         assert seen["a"] == [outcome.to_a[:k] for k in range(4)]
         assert seen["b"] == [outcome.to_b[:k] for k in range(4)]
         assert all(type(t) is tuple for t in seen["a"] + seen["b"])
@@ -183,8 +196,8 @@ class TestExecuteAccounting:
         m = 4
         v = BXOSValuation((ItemSet.full(m),))
         buggy = Protocol(
-            bidder_a=lambda val, seen: "",
-            bidder_b=lambda val, seen: "",
+            bidder_a=lambda val, seen: Message(0, 0),
+            bidder_b=lambda val, seen: Message(0, 0),
             seller=None,
             alloc=lambda a, b: Allocation(ItemSet.full(m), ItemSet.full(m)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
@@ -196,8 +209,8 @@ class TestExecuteAccounting:
         m = 4
         v = BXOSValuation((ItemSet.full(m),))
         wrong = Protocol(
-            bidder_a=lambda val, seen: "",
-            bidder_b=lambda val, seen: "",
+            bidder_a=lambda val, seen: Message(0, 0),
+            bidder_b=lambda val, seen: Message(0, 0),
             seller=None,
             alloc=lambda a, b: (ItemSet.full(m), ItemSet.empty(m)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
@@ -210,7 +223,7 @@ class TestExecuteAccounting:
         v = BXOSValuation((ItemSet.full(m),))
         noisy = Protocol(
             bidder_a=lambda val, seen: "2",
-            bidder_b=lambda val, seen: "",
+            bidder_b=lambda val, seen: Message(0, 0),
             seller=None,
             alloc=lambda a, b: Allocation(ItemSet.full(m), ItemSet.empty(m)),
             price=lambda a, b: (Fraction(0), Fraction(0)),
@@ -223,8 +236,8 @@ class TestExecuteAccounting:
 
         va, vb, *_ = build_valuations(nu_instance)
         lazy = Protocol(
-            bidder_a=lambda val, seen: "",
-            bidder_b=lambda val, seen: "",
+            bidder_a=lambda val, seen: Message(0, 0),
+            bidder_b=lambda val, seen: Message(0, 0),
             seller=None,
             alloc=lambda a, b: Allocation(ItemSet.empty(160), ItemSet.empty(160)),
             price=lambda a, b: (Fraction(0), Fraction(0)),

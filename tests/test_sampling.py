@@ -1008,6 +1008,13 @@ class TestDeterminism:
         assert r1.stream == r2.stream
         assert int(r1.np.integers(1 << 60)) == int(r2.np.integers(1 << 60))
 
+    def test_child_zero_of_stream_zero_is_the_stream_itself(self):
+        # _mix64(0, 0) == 0: the one child that replays its parent.
+        root, child = RngStream(9), RngStream(9).child(0)
+        assert child.stream == root.stream == 0
+        assert child.np.integers(1 << 60, size=8).tolist() == root.np.integers(1 << 60, size=8).tolist()
+        assert RngStream(9, 1).child(0).stream != 1
+
     def test_stream_coordinates_outside_64_bits_are_rejected(self):
         # Reduced mod 2**64, 2**64 would replay seed 0 and child -1 would
         # replay child 2**64 - 1 under another name.
