@@ -16,7 +16,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from bxoslab import InvalidParameter, ItemSet, PartitionParameter, RngStream, refine_masks, sample_instance
 from bxoslab.construction import Basis, ConstructionError
@@ -201,24 +201,40 @@ messages = st.integers(0, 30).flatmap(lambda w: st.builds(Message, st.just(w), s
 
 
 @settings(max_examples=300, deadline=None)
+@given(not_messages | messages)
+def test_decode_uint_accepts_only_binary(msg):
+    if not isinstance(msg, Message):
+        with pytest.raises(ProtocolError, match="non-binary"):
+            decode_uint(msg)
+        return
+    assert decode_uint(msg) == msg.value
+
+
+@settings(max_examples=300, deadline=None)
 @given(st.integers(1, 12), not_messages | messages)
-def test_decoders_accept_only_messages_of_their_width(m, msg):
-    for decode, width in ((decode_uint, None), (lambda x: decode_set(m, x), m), (lambda x: decode_basis(m, x), 2 * m)):
+def test_decode_set_and_basis_accept_only_binary(m, msg):
+    for decode, encode, width, kind in (
+        (decode_set, encode_set, m, "set"),
+        (decode_basis, lambda pair: encode_basis(*pair), 2 * m, "basis"),
+    ):
         if not isinstance(msg, Message):
             with pytest.raises(ProtocolError, match="non-binary"):
-                decode(msg)
-        elif width is not None and len(msg) != width:
-            with pytest.raises(ProtocolError, match=f"message has {len(msg)} bits, expected {width}"):
-                decode(msg)
+                decode(m, msg)
+        elif len(msg) != width:
+            with pytest.raises(ProtocolError, match=f"{kind} message has {len(msg)} bits, expected {width}"):
+                decode(m, msg)
         else:
+            assert encode(decode(m, msg)) == msg
+
+
+# int(s, 2) also takes Unicode decimal digits ("\uff10" is a fullwidth zero,
+# "\u0661" an Arabic-Indic one); a lone surrogate cannot even be encoded.
+# No such text is a message, whatever its width.
+@pytest.mark.parametrize("msg", INT_LITERALS)
+def test_python_int_literal_syntax_is_rejected(msg):
+    for decode in (decode_uint, lambda x: decode_set(len(msg), x), lambda x: decode_basis(len(msg), x)):
+        with pytest.raises(ProtocolError, match="non-binary"):
             decode(msg)
-
-
-# Every run tries each literal, not only the ones hypothesis happens to draw.
-for _literal in INT_LITERALS:
-    test_decoders_accept_only_messages_of_their_width = example(len(_literal), _literal)(
-        test_decoders_accept_only_messages_of_their_width
-    )
 
 
 @settings(max_examples=300, deadline=None)
