@@ -425,7 +425,9 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
     special pair at a uniform index.  ``variant="nu_prime"`` draws every
     clause pair first and then the second basis conditioned on the full
     profile at the special index; the two procedures generate identical
-    distributions.
+    distributions.  The copy choices come last, as one draw of ``2 * n + 1``
+    values in {1, 2}: theta, then r_a, then r_b, whose entries at the
+    special index then take theta's value.
     """
     if n < 1:
         raise ConstructionError("at least one clause index is required")
@@ -449,9 +451,8 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
     b.insert(i_star, (~a2[i_star], ~a1[i_star]))
     b2, b1 = zip(*b)
 
-    theta = int(rng.np.integers(1, 3))
-    r_a = [int(r) for r in rng.np.integers(1, 3, size=n)]
-    r_b = [int(r) for r in rng.np.integers(1, 3, size=n)]
+    theta, *r = rng.np.integers(1, 3, size=2 * n + 1).tolist()
+    r_a, r_b = r[:n], r[n:]
     r_a[i_star] = theta
     r_b[i_star] = theta
 

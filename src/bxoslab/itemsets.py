@@ -99,12 +99,17 @@ class ItemSet:
         if not isinstance(indices, np.ndarray):
             raise TypeError(f"item indices must be a numpy array, got {type(indices).__name__}")
         # numpy would index with a bool array as a mask.
-        if indices.dtype.kind not in "iu":
+        kind = indices.dtype.kind
+        if kind not in "iu":
             raise ValueError(f"item indices must be integers, got dtype {indices.dtype}")
+        if kind == "u" and indices.itemsize == 8:
+            # numpy casts these to intp, where an index from 2**63 up turns
+            # negative; read as signed, it is negative here already.
+            indices, kind = indices.view(indices.dtype.str.replace("u", "i")), "i"
         buf = np.zeros(m, dtype=bool)
         try:
             # Numpy would wrap a negative index round; an empty array has no min().
-            if indices.dtype.kind == "i" and indices.size and indices.min() < 0:
+            if kind == "i" and indices.size and indices.min() < 0:
                 raise IndexError
             buf[indices] = True
         except IndexError:

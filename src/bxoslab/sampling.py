@@ -124,12 +124,13 @@ class _Plan:
 
     @cached_property
     def class_offsets(self) -> np.ndarray:
-        # Multi-row chunks only: column x lands in class j, which owns the
+        # Multi-row chunks only: column x of the k-th multi-class cell holds
+        # an item ``k * width + y`` of the unpacked cells, and its offset
+        # moves that item to ``j * width + y``, into class j, which owns the
         # whole bytes from ``j * width`` of each row's block.
         width = 8 * ((self.m + 7) // 8)
-        offsets = np.arange(0, self.n_classes * width, width, dtype=np.min_scalar_type(self.n_classes * width - 1))
-        rows = [self.table[i] for i, _, _ in self.multi]
-        return np.repeat(np.tile(offsets, len(rows)), [cnt for row in rows for cnt in row])
+        classes = np.arange(0, self.n_classes * width, width, dtype=np.intp)
+        return np.concatenate([np.repeat(classes - k * width, self.table[i]) for k, (i, _, _) in enumerate(self.multi)])
 
 
 # One plan per count table; only checked tables reach it.
@@ -216,11 +217,13 @@ def refine_masks(
     What the count table alone fixes is its plan, built once per table and
     cached: the cell sizes the rows must match, the one-class and
     multi-class cells, the multi-class cells' columns of one index array
-    and each column's class.  A call unpacks all multi-class
-    cells at once and broadcasts their items to every row of the chunk;
-    after the draws, one add of the plan's class offsets and the row
-    offsets places each item in its (row, class) block, and one set built
-    from all of them holds every class mask.
+    and each column's class offset.  A call unpacks all multi-class cells
+    at once and adds their items to each row's offset in the chunk; the
+    array is ``np.intp``, whose pointer-size items numpy shuffles in its
+    fast swap loop, with the same draws as for any other integer type.
+    After the draws, one add of the plan's class offsets places each item
+    in its (row, class) block, and one set built from all of them, with the
+    one-class cells' items added to every row, holds every class mask.
 
     Where every chunk is one row (``m > _BATCH_ITEMS // 2``), a row works
     in item order.  Unless every cell lands in one class, it reads one
@@ -283,27 +286,32 @@ def _draw(plan: _Plan, cells: Sequence[int], rng: RngStream, rows: int) -> list[
     # owns a block of whole bytes, so one set over that universe holds all
     # of the chunk's class masks, in that order.
     width = 8 * nbytes
-    # The multi-class cells' items, side by side in one row: one unpack.
+    # The multi-class cells' items, side by side in one row: one unpack of
+    # the cells' blocks of width bits, which the class offsets undo.
     raw = b"".join(cells[i].to_bytes(nbytes, "little") for i, _, _ in plan.multi)
-    grid = np.frombuffer(raw, dtype=np.uint8).reshape(len(plan.multi), nbytes)
-    items = np.unpackbits(grid, axis=1, count=m, bitorder="little").nonzero()[1]
+    items = np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+    # The one-class cells' items, in one row's class blocks.
+    fixed_row = sum(f << j * width for j, f in enumerate(fixed))
+    full, row_bytes = (1 << m) - 1, n_classes * nbytes
     out: list[list[int]] = []
     for start in range(0, rows, chunk):
         r = min(chunk, rows - start)
-        universe = r * n_classes * width
-        # The smallest dtype keeps the index array small; a shuffle's draws
-        # depend only on the length.
-        dtype = np.min_scalar_type(universe - 1)
-        flat = np.empty((r, plan.total), dtype=dtype)
-        flat[:] = items
+        universe = 8 * r * row_bytes
+        # Row i's items, moved into row i's blocks, where its shuffles keep
+        # them.  They are intp, at most _BATCH_ITEMS of them (65536 x 8 B =
+        # 512 KiB): numpy swaps pointer-size items in a fast loop of their
+        # own and others in a generic one, and draws the same either way.
+        flat = np.add(items, np.arange(0, universe, 8 * row_bytes, dtype=np.intp)[:, None])
         for _, a, b in plan.multi:
             perm = flat[:, a:b]
             rng.np.permuted(perm, axis=1, out=perm)
-        flat += plan.class_offsets + np.arange(0, universe, n_classes * width, dtype=dtype)[:, None]
+        flat += plan.class_offsets
         packed = ItemSet.from_numpy_indices(universe, flat.ravel()).bits.to_bytes(universe // 8, "little")
-        masks = [int.from_bytes(packed[k : k + nbytes], "little") for k in range(0, len(packed), nbytes)]
-        for i in range(0, len(masks), n_classes):
-            out.append([f | b for f, b in zip(fixed, masks[i : i + n_classes])])
+        # One int per row, then shifts of it per class; shifts of the whole
+        # chunk's int would take time quadratic in the chunk.
+        for k in range(0, len(packed), row_bytes):
+            row = int.from_bytes(packed[k : k + row_bytes], "little") | fixed_row
+            out.append([row >> j * width & full for j in range(n_classes)])
     return out
 
 

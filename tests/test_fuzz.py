@@ -252,6 +252,11 @@ def test_decode_inverts_encode(m, data):
 index_arrays = st.tuples(
     st.lists(st.integers(-100, 100), max_size=6),
     st.sampled_from(["int64", "int16", "uint32", "float64", "bool", "object", "list", "tuple"]),
+) | st.tuples(
+    # numpy casts uint64 indices to intp, where the top 64 values would wrap
+    # round to the last 64 items; small ones keep most arrays in range.
+    st.lists(st.integers(0, 7) | st.integers(2**64 - 64, 2**64 - 1), min_size=1, max_size=6),
+    st.just("uint64"),
 )
 
 
@@ -278,7 +283,7 @@ def test_itemset_constructors_raise_only_declared_errors(m, constructor, items):
         return
     assert type(s.m) is int and type(s.bits) is int and s.m == m and repr(s)
     if constructor == "from_numpy_indices":
-        assert kind in ("int64", "int16", "uint32")
+        assert kind in ("int64", "int16", "uint32", "uint64")
     if args:
         assert set(s) == set(values)
     else:

@@ -34,7 +34,12 @@ INVALID_CONSTRUCTIONS = {
     "negative-from_indices": lambda: ItemSet.from_indices(8, [-1]),
     "negative-from_numpy_indices": lambda: ItemSet.from_numpy_indices(8, np.array([-1])),
     "negative-from_hex": lambda: ItemSet.from_hex(8, "-1"),
-    # Non-integer index arrays, on both sides of the short-array path.
+    # numpy casts uint64 indices to intp: from 2**63 up they would wrap round
+    # to the end of the universe (to items 7, 0 and 6 here).
+    "wrapped-uint64-last-from_numpy_indices": lambda: ItemSet.from_numpy_indices(8, np.array([2**64 - 1], dtype=np.uint64)),
+    "wrapped-uint64-first-from_numpy_indices": lambda: ItemSet.from_numpy_indices(8, np.array([2**64 - 8], dtype=np.uint64)),
+    "wrapped-uint64-pair-from_numpy_indices": lambda: ItemSet.from_numpy_indices(8, np.array([2**64 - 2, 3], dtype=np.uint64)),
+    # Non-integer index arrays, short and long.
     "bool-few-from_numpy_indices": lambda: ItemSet.from_numpy_indices(64, np.array([True, False, True])),
     "bool-many-from_numpy_indices": lambda: ItemSet.from_numpy_indices(64, np.ones(_FEW_INDICES + 1, dtype=bool)),
     "float-few-from_numpy_indices": lambda: ItemSet.from_numpy_indices(64, np.array([1.0, 2.0])),

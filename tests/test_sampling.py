@@ -385,6 +385,64 @@ def test_label_passes_read_raw_philox_lanes(n, how, held):
     assert got.integers(1 << 62) == want.integers(1 << 62)
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (1, 160), (7, 50), (3, 2)])
+def test_permuted_draws_depend_only_on_the_shape(shape):
+    # Multi-row chunks shuffle intp index arrays, which numpy swaps with its
+    # pointer-size loop; uint16 and uint32 arrays of the same shape take its
+    # generic loop, and draw the same permutation from the same words.
+    streams = [RngStream(41, 6).np for _ in range(3)]
+    blocks = [np.arange(np.prod(shape), dtype=t).reshape(shape) for t in (np.uint16, np.uint32, np.intp)]
+    for gen, block in zip(streams, blocks):
+        gen.permuted(block, axis=1, out=block)
+    for block in blocks[1:]:
+        np.testing.assert_array_equal(block, blocks[0])
+    assert len({gen.integers(1 << 62) for gen in streams}) == 1
+    assert len({gen.bit_generator.random_raw() for gen in streams}) == 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("held", [0, 1], ids=["none-held", "half-held"])
+def test_one_copy_choice_draw_equals_three(n, held):
+    # sample_instance draws theta, r_a and r_b as one integers(1, 3) array of
+    # 2n + 1: bounded draws below 2**32 take one 32-bit word each, in order,
+    # so it equals the three calls it replaced, with or without a 32-bit
+    # half that numpy holds from an earlier draw.
+    got, want = RngStream(43, 1).np, RngStream(43, 1).np
+    for gen in (got, want):
+        if held:
+            gen.integers(5)
+        assert gen.bit_generator.state["has_uint32"] == held
+    one = got.integers(1, 3, size=2 * n + 1)
+    three = [want.integers(1, 3), *want.integers(1, 3, size=n), *want.integers(1, 3, size=n)]
+    assert one.tolist() == three
+    assert got.integers(1 << 62) == want.integers(1 << 62)
+
+
+class RecordingGenerator:
+    """A numpy Generator that records the dtype of every block it permutes."""
+
+    def __init__(self, gen):
+        self.gen, self.dtypes = gen, []
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+    def permuted(self, x, axis, out):
+        self.dtypes.append(x.dtype)
+        return self.gen.permuted(x, axis=axis, out=out)
+
+
+@pytest.mark.parametrize("m", [16, 160, (1 << 16) // 2])
+def test_multi_row_chunks_shuffle_intp_blocks(m):
+    # At every universe size with multi-row chunks, up to 32768 items.
+    cells, table = random_refinement(m, np.random.default_rng(m))
+    rng = RngStream(m)
+    rng.np = RecordingGenerator(rng.np)
+    refine_masks(cells, table, rng, 3)
+    assert rng.np.dtypes and set(rng.np.dtypes) == {np.dtype(np.intp)}
+    assert sampling._plan(tuple(map(tuple, table))).class_offsets.dtype == np.intp
+
+
 def test_refine_rows_meets_the_counts_across_chunks():
     # 48 items give chunks of 1365 rows; the last five rows fall in a second chunk.
     m = 48
