@@ -101,7 +101,8 @@ def _rev_order(x: Sequence) -> tuple:
 
 @dataclass(frozen=True)
 class ConstantVectors:
-    """All profile vectors of the construction, scaled to a universe size."""
+    """All profile vectors of the construction, scaled to a universe size,
+    and the samplers' per-cell count tables read off the two joint ones."""
 
     m: int
     basis: tuple[int, ...]
@@ -113,6 +114,19 @@ class ConstantVectors:
     specpair: tuple[int, ...]
     pair_profile: tuple[int, ...]
     opt_profile: tuple[int, ...]
+    # Per 4-cell of a basis: how its items split over the second basis's
+    # four membership patterns (00, 01, 10, 11), read off ``cmp``.
+    compatible_counts: tuple[tuple[int, ...], ...]
+    # Per 4-cell of a basis: joint class counts (both, first only, second
+    # only, neither) of a clause pair, read off the (s1, s2, a1, a2) profile.
+    clause_pair_counts: tuple[tuple[int, ...], ...]
+    # Per 16-cell of a compatible basis pair: joint class counts of a special
+    # clause pair, in the same order, read off the 64-cell full profile.
+    special_pair_counts: tuple[tuple[int, ...], ...]
+    # Per 16-cell of (basis, clause pair): the second basis's membership
+    # pattern counts, read off the 64-cell profile, whose indicators
+    # (s1, s2, t1, t2, a1, a2), s1 most significant, regroup to (s1, s2, a1, a2, t1, t2).
+    second_basis_counts: tuple[tuple[int, ...], ...]
 
 
 def _scaled(base: Sequence[int], m: int) -> tuple[int, ...]:
@@ -161,17 +175,22 @@ def _reference_profiles() -> tuple[tuple[int, ...], tuple[int, ...]]:
 def constant_vectors(m: int) -> ConstantVectors:
     """All profile vectors scaled to universe size ``m`` (16 must divide m)."""
     pair16, opt16 = _reference_profiles()
+    cmp, pair, opt = _scaled(_CMP_BASE, m), _scaled(pair16, m), _scaled(opt16, m)
     return ConstantVectors(
         m=m,
         basis=_scaled(_BASIS_BASE, m),
-        cmp=_scaled(_CMP_BASE, m),
+        cmp=cmp,
         reg=_scaled(_REG_BASE, m),
         regpair=_scaled(_REGPAIR_BASE, m),
         spec1=_scaled(_SPEC1_BASE, m),
         spec2=_scaled(_SPEC2_BASE, m),
         specpair=_scaled(_SPECPAIR_BASE, m),
-        pair_profile=_scaled(pair16, m),
-        opt_profile=_scaled(opt16, m),
+        pair_profile=pair,
+        opt_profile=opt,
+        compatible_counts=_blocks(cmp),
+        clause_pair_counts=_blocks(pair, reverse=True),
+        special_pair_counts=_blocks(opt, reverse=True),
+        second_basis_counts=_blocks([opt[16 * s + 4 * t + a] for s in range(4) for a in range(4) for t in range(4)]),
     )
 
 
@@ -181,41 +200,6 @@ def _blocks(profile: Sequence[int], reverse: bool = False) -> tuple[tuple[int, .
     # pair samplers' class order (both, first only, second only, neither).
     step = -1 if reverse else 1
     return tuple(tuple(profile[i : i + 4][::step]) for i in range(0, len(profile), 4))
-
-
-@lru_cache(maxsize=None)
-def compatible_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
-    """Per 4-cell of a basis: how its items split over the second basis's
-    four membership patterns (00, 01, 10, 11), read off the 16-cell vector."""
-    return _blocks(constant_vectors(m).cmp)
-
-
-@lru_cache(maxsize=None)
-def clause_pair_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
-    """Per 4-cell of a basis: joint class counts (both, first only, second
-    only, neither) of a clause pair, read off the (s1, s2, a1, a2) profile."""
-    return _blocks(constant_vectors(m).pair_profile, reverse=True)
-
-
-@lru_cache(maxsize=None)
-def special_pair_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
-    """Per 16-cell of a compatible basis pair: joint class counts (both,
-    first only, second only, neither) of a special clause pair, read off the
-    64-cell full profile."""
-    return _blocks(constant_vectors(m).opt_profile, reverse=True)
-
-
-@lru_cache(maxsize=None)
-def second_basis_cell_counts(m: int) -> tuple[tuple[int, ...], ...]:
-    """Per 16-cell of (basis, clause pair): the second basis's membership
-    pattern counts, read off the 64-cell full profile.
-
-    Index convention: the 64-cell profile orders indicators as
-    (s1, s2, t1, t2, a1, a2) with s1 most significant; it is regrouped to
-    (s1, s2, a1, a2, t1, t2) here.
-    """
-    opt = constant_vectors(m).opt_profile
-    return _blocks([opt[16 * s + 4 * t + a] for s in range(4) for a in range(4) for t in range(4)])
 
 
 # The samplers below skip refine_masks's entry check and draw with its engine,
@@ -237,7 +221,7 @@ def sample_basis(m: int, rng: RngStream) -> Basis:
 
 def sample_compatible(base: Basis, rng: RngStream) -> Basis:
     """Uniform draw over bases the given basis is compatible with."""
-    classes = _draw(_plan(compatible_cell_counts(base.m)), [c.bits for c in base.cells], rng, 1)[0]
+    classes = _draw(_plan(constant_vectors(base.m).compatible_counts), [c.bits for c in base.cells], rng, 1)[0]
     return _basis_from_pattern_classes(base.m, classes)
 
 
@@ -257,7 +241,7 @@ def sample_clause_pairs(base: Basis, rng: RngStream, count: int) -> list[tuple[I
     """
     count = _checked_count(count, "count")
     m = base.m
-    rows = _draw(_plan(clause_pair_cell_counts(m)), [c.bits for c in base.cells], rng, count)
+    rows = _draw(_plan(constant_vectors(m).clause_pair_counts), [c.bits for c in base.cells], rng, count)
     return [_pair_from_joint_classes(m, classes) for classes in rows]
 
 
@@ -269,7 +253,7 @@ def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
 def sample_special_pair(s: Basis, t: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
     """Uniform draw over special clause pairs for a compatible basis pair."""
     m = s.m
-    classes = _draw(_plan(special_pair_cell_counts(m)), _compatible_cells(s, t), rng, 1)[0]
+    classes = _draw(_plan(constant_vectors(m).special_pair_counts), _compatible_cells(s, t), rng, 1)[0]
     return _pair_from_joint_classes(m, classes)
 
 
@@ -283,7 +267,7 @@ def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> B
     # The 16 cells of (s1, s2, a1, a2) in part_cells order: within each basis
     # cell, neither, a2 only, a1 only, both.
     cells = [c.bits & z for c in s.cells for z in (~(x | y), y & ~x, x & ~y, x & y)]
-    classes = _draw(_plan(second_basis_cell_counts(m)), cells, rng, 1)[0]
+    classes = _draw(_plan(constant_vectors(m).second_basis_counts), cells, rng, 1)[0]
     return _basis_from_pattern_classes(m, classes)
 
 

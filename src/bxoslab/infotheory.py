@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from itertools import product
+from numbers import Real
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -39,6 +40,8 @@ class JointDistribution:
         codes = [{v: j for j, v in enumerate(axis)} for axis in labels]
         table = np.zeros([len(axis) for axis in labels])
         for values, p in probs.items():
+            if not isinstance(p, Real) or math.isnan(p):
+                raise ValueError(f"probability {p!r} is not a real number")
             if p < -_SUM_TOL:
                 raise ValueError(f"negative probability {p}")
             table[tuple(code[v] for code, v in zip(codes, values))] = p

@@ -121,6 +121,7 @@ class ItemSet:
     def from_hex(cls, m: int, text: str) -> "ItemSet":
         """Inverse of :meth:`to_hex`: only that method's output is accepted,
         lowercase hex digits of exactly the serialized length."""
+        m = _universe_size(m)
         want = 2 * ((m + 7) // 8)
         if len(text) != want or not _LOWER_HEX.fullmatch(text):
             raise ValueError(f"expected {want} lowercase hex digits for a universe of size {m}")

@@ -38,6 +38,8 @@ class InvalidParameter(ValueError):
 
 def _check_partition(cells: Sequence[ItemSet]) -> None:
     # ItemSet cells, at least one, all of one universe, which they partition.
+    if not isinstance(cells, Sequence):
+        raise InvalidParameter(f"cells must be a sequence, got {type(cells).__name__}")
     for i, c in enumerate(cells):
         if not isinstance(c, ItemSet):
             raise InvalidParameter(f"cell {i} is not an ItemSet, got {type(c).__name__}")
@@ -65,9 +67,11 @@ class PartitionParameter:
     sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_partition(self.cells)
+        if not isinstance(self.counts, Sequence):
+            raise InvalidParameter(f"counts must be a sequence, got {type(self.counts).__name__}")
         if len(self.counts) != len(self.cells):
             raise InvalidParameter("one count per cell is required")
-        _check_partition(self.cells)
         sizes = tuple(map(len, self.cells))
         # 0 <= p <= |cell|: the cell splits into p chosen and |cell| - p other items.
         for i, (p, size) in enumerate(zip(self.counts, sizes)):

@@ -40,11 +40,7 @@ from bxoslab.construction import (
     _joint_cells,
     _pair_from_joint_classes,
     _table,
-    clause_pair_cell_counts,
-    compatible_cell_counts,
     sample_second_basis,
-    second_basis_cell_counts,
-    special_pair_cell_counts,
 )
 
 from naive_reference import naive_part_profile
@@ -114,7 +110,7 @@ class TestConstantVectors:
 
 class TestDerivedCellCounts:
     def test_clause_pair_table(self):
-        assert clause_pair_cell_counts(16) == (
+        assert constant_vectors(16).clause_pair_counts == (
             (0, 2, 2, 1),
             (0, 1, 2, 0),
             (1, 1, 0, 1),
@@ -122,7 +118,7 @@ class TestDerivedCellCounts:
         )
 
     def test_compatibility_table(self):
-        assert compatible_cell_counts(16) == (
+        assert constant_vectors(16).compatible_counts == (
             (4, 1, 0, 0),
             (0, 1, 2, 0),
             (1, 0, 1, 1),
@@ -133,10 +129,10 @@ class TestDerivedCellCounts:
         for m in (16, 160):
             vec = constant_vectors(m)
             for table, sums in (
-                (clause_pair_cell_counts(m), vec.basis),
-                (compatible_cell_counts(m), vec.basis),
-                (special_pair_cell_counts(m), vec.cmp),
-                (second_basis_cell_counts(m), vec.pair_profile),
+                (vec.clause_pair_counts, vec.basis),
+                (vec.compatible_counts, vec.basis),
+                (vec.special_pair_counts, vec.cmp),
+                (vec.second_basis_counts, vec.pair_profile),
             ):
                 for row, want in zip(table, sums):
                     assert all(v >= 0 for v in row)
@@ -155,9 +151,9 @@ class TestDerivedCellCounts:
 
         reg = vec.reg
         rev_reg = (reg[0], reg[2], reg[1], reg[3])  # the second clause is read against the reversed basis
-        assert clause_pair_cell_counts(m) == joint_class_rows(vec.regpair, reg, rev_reg, vec.basis)
-        assert special_pair_cell_counts(m) == joint_class_rows(vec.specpair, vec.spec1, vec.spec2, vec.cmp)
-        assert compatible_cell_counts(m) == tuple(tuple(vec.cmp[4 * s + t] for t in range(4)) for s in range(4))
+        assert vec.clause_pair_counts == joint_class_rows(vec.regpair, reg, rev_reg, vec.basis)
+        assert vec.special_pair_counts == joint_class_rows(vec.specpair, vec.spec1, vec.spec2, vec.cmp)
+        assert vec.compatible_counts == tuple(tuple(vec.cmp[4 * s + t] for t in range(4)) for s in range(4))
         second = []
         for s1 in (0, 1):
             for s2 in (0, 1):
@@ -168,7 +164,7 @@ class TestDerivedCellCounts:
                             for t1 in (0, 1)
                             for t2 in (0, 1)
                         ))
-        assert second_basis_cell_counts(m) == tuple(second)
+        assert vec.second_basis_counts == tuple(second)
 
 
 def support_size(table):
@@ -187,9 +183,9 @@ class TestSupportCounting:
     def test_special_decomposition_matches_clause_pairs(self):
         # Each clause pair is special for exactly one second basis:
         # (#compatible bases) * (#special pairs) = (#clause pairs).
-        n_compat = support_size(compatible_cell_counts(16))
-        n_special = support_size(special_pair_cell_counts(16))
-        n_pairs = support_size(clause_pair_cell_counts(16))
+        n_compat = support_size(constant_vectors(16).compatible_counts)
+        n_special = support_size(constant_vectors(16).special_pair_counts)
+        n_pairs = support_size(constant_vectors(16).clause_pair_counts)
         assert n_compat == 450
         assert n_special == 36
         assert n_pairs == 16200
@@ -199,7 +195,7 @@ class TestSupportCounting:
         # Every (basis, clause pair) cell maps to a single second-basis
         # pattern, so the conditioned second basis is unique.
         for m in (16, 160):
-            for row in second_basis_cell_counts(m):
+            for row in constant_vectors(m).second_basis_counts:
                 assert sum(1 for v in row if v) <= 1
 
 
@@ -429,14 +425,13 @@ class TestSamplerUniformity:
     exhaustively enumerated supports at the 16-item scale."""
 
     def test_compatible_bases_are_uniform(self, reference):
-        from bxoslab.construction import compatible_cell_counts
         from bxoslab.itemsets import part_cells
         from bxoslab.stats import uniform_chi2
 
         s, _, _ = reference
         cells = [set(c) for c in part_cells(16, s.sets())]
         support = {}
-        for classes in _enumerate_by_cells(cells, compatible_cell_counts(16)):
+        for classes in _enumerate_by_cells(cells, constant_vectors(16).compatible_counts):
             t1 = ItemSet.from_indices(16, classes[2] | classes[3])
             t2 = ItemSet.from_indices(16, classes[1] | classes[3])
             support[(t1.bits, t2.bits)] = len(support)
@@ -450,14 +445,13 @@ class TestSamplerUniformity:
         assert p >= 0.001, f"uniformity over compatible bases rejected: p={p}"
 
     def test_special_pairs_are_uniform(self, reference):
-        from bxoslab.construction import special_pair_cell_counts
         from bxoslab.itemsets import part_cells
         from bxoslab.stats import uniform_chi2
 
         s, t, _ = reference
         cells = [set(c) for c in part_cells(16, (*s.sets(), *t.sets()))]
         support = {}
-        for classes in _enumerate_by_cells(cells, special_pair_cell_counts(16)):
+        for classes in _enumerate_by_cells(cells, constant_vectors(16).special_pair_counts):
             a1 = ItemSet.from_indices(16, classes[0] | classes[1])
             a2 = ItemSet.from_indices(16, classes[0] | classes[2])
             support[(a1.bits, a2.bits)] = len(support)
@@ -481,13 +475,13 @@ class TestBatchedClausePairs:
         s, _, _ = reference
         cells = [set(c) for c in part_cells(16, s.sets())]
         support = {}
-        for classes in _enumerate_by_cells(cells, clause_pair_cell_counts(16)):
+        for classes in _enumerate_by_cells(cells, constant_vectors(16).clause_pair_counts):
             a1 = ItemSet.from_indices(16, classes[0] | classes[1])
             a2 = ItemSet.from_indices(16, classes[0] | classes[2])
             support[(a1, a2)] = len(support)
         # The enumeration is a product over the cells, so an index splits
         # into one assignment index per cell, the last cell varying fastest.
-        per_cell = tuple(len(_assignments(sorted(c), row)) for c, row in zip(cells, clause_pair_cell_counts(16)))
+        per_cell = tuple(len(_assignments(sorted(c), row)) for c, row in zip(cells, constant_vectors(16).clause_pair_counts))
         assert per_cell == (30, 3, 6, 30) and len(support) == 16200
         rng = RngStream(53, 0)
         counts = [[0] * len(support) for _ in range(2)]
@@ -701,19 +695,19 @@ def _engine_cases(m):
     basis, pair = _basis_from_pattern_classes, _pair_from_joint_classes
     return {
         "basis": (lambda rng: [sample_basis(m, rng)], [ItemSet.full(m)], [constant_vectors(m).basis], 1, basis),
-        "compatible": (lambda rng: [sample_compatible(s, rng)], s.cells, compatible_cell_counts(m), 1, basis),
-        "clause-pairs": (lambda rng: sample_clause_pairs(s, rng, 3), s.cells, clause_pair_cell_counts(m), 3, pair),
+        "compatible": (lambda rng: [sample_compatible(s, rng)], s.cells, constant_vectors(m).compatible_counts, 1, basis),
+        "clause-pairs": (lambda rng: sample_clause_pairs(s, rng, 3), s.cells, constant_vectors(m).clause_pair_counts, 3, pair),
         "special-pair": (
             lambda rng: [sample_special_pair(s, t, rng)],
             [ItemSet(m, c) for c in _joint_cells(s, t)],
-            special_pair_cell_counts(m),
+            constant_vectors(m).special_pair_counts,
             1,
             pair,
         ),
         "second-basis": (
             lambda rng: [sample_second_basis(s, a1, a2, rng)],
             part_cells(m, (*s.sets(), a1, a2)),
-            second_basis_cell_counts(m),
+            constant_vectors(m).second_basis_counts,
             1,
             basis,
         ),
@@ -747,14 +741,14 @@ class TestSamplersSkipTheEntryCheck:
         inst = sample_instance(160, 4, variant, RngStream(47, 0))
         assert calls == []
         # The counter does see the public entry.
-        refine_masks(inst.s.cells, compatible_cell_counts(160), RngStream(47, 1), 1)
+        refine_masks(inst.s.cells, constant_vectors(160).compatible_counts, RngStream(47, 1), 1)
         assert calls == [4]
 
     def test_overlapping_cells_from_a_sampler_fail_validation(self, monkeypatch):
         # Multi-row chunks only: on cells that are not a partition a one-row
         # chunk may never return (see sampling._draw).
         m = 160
-        table = special_pair_cell_counts(m)
+        table = constant_vectors(m).special_pair_counts
         # A joint cell wholly in both clauses, and another non-empty cell.
         both = next(i for i, row in enumerate(table) if row[0] and not any(row[1:]))
         other = next(i for i, row in enumerate(table) if i != both and any(row))

@@ -249,13 +249,16 @@ def test_decode_inverts_encode(m, data):
     assert encode_basis(s1, s2) == pair and decode_basis(m, encode_basis(s, ~s)) == (s, ~s)
 
 
+# Indices below 8 are in range for every universe size from 8 up, so most
+# arrays reach the membership assertion; the rest hold an out-of-range minority.
+low_items = st.integers(0, 7)
 index_arrays = st.tuples(
-    st.lists(st.integers(-100, 100), max_size=6),
+    st.lists(low_items, max_size=6) | st.lists(low_items | st.integers(-100, 100), min_size=1, max_size=6),
     st.sampled_from(["int64", "int16", "uint32", "float64", "bool", "object", "list", "tuple"]),
 ) | st.tuples(
     # numpy casts uint64 indices to intp, where the top 64 values would wrap
-    # round to the last 64 items; small ones keep most arrays in range.
-    st.lists(st.integers(0, 7) | st.integers(2**64 - 64, 2**64 - 1), min_size=1, max_size=6),
+    # round to the last 64 items.
+    st.lists(low_items | st.integers(2**64 - 64, 2**64 - 1), min_size=1, max_size=6),
     st.just("uint64"),
 )
 
@@ -343,22 +346,47 @@ def test_partition_parameter_raises_only_invalid_parameter(call):
         PartitionParameter(cells, counts)
 
 
+_NOT_INT = "cannot be interpreted as an integer"
+_NOT_SEQUENCE = "must be a sequence"
+
+
 @pytest.mark.parametrize(
-    "call, error",
+    "call, error, match",
     [
-        (lambda: ItemSet(8, 1.0), TypeError),
-        (lambda: ItemSet(8.0, 1), TypeError),
-        (lambda: ItemSet("8", 1), TypeError),
-        (lambda: ItemSet.from_numpy_indices(8, [1, 2]), TypeError),
-        (lambda: Basis(1, 2), TypeError),
-        (lambda: refine_masks([255], [[8]], RngStream(0), 1), InvalidParameter),
-        (lambda: PartitionParameter((255,), (1,)), InvalidParameter),
+        (lambda: ItemSet(8, 1.0), TypeError, _NOT_INT),
+        (lambda: ItemSet(8.0, 1), TypeError, _NOT_INT),
+        (lambda: ItemSet("8", 1), TypeError, _NOT_INT),
+        (lambda: ItemSet.from_numpy_indices(8, [1, 2]), TypeError, "numpy array"),
+        (lambda: Basis(1, 2), TypeError, "ItemSet"),
+        (lambda: refine_masks([255], [[8]], RngStream(0), 1), InvalidParameter, "ItemSet"),
+        (lambda: PartitionParameter((255,), (1,)), InvalidParameter, "ItemSet"),
+        (lambda: ItemSet.from_hex("8", "00"), TypeError, _NOT_INT),
+        (lambda: ItemSet.from_hex(-16, ""), ValueError, "universe size must be positive, got -16"),
+        (lambda: PartitionParameter((ItemSet.full(8),), 4), InvalidParameter, _NOT_SEQUENCE),
+        (lambda: PartitionParameter((ItemSet.full(8),), iter([4])), InvalidParameter, _NOT_SEQUENCE),
+        (lambda: PartitionParameter((c for c in [ItemSet.full(8)]), (4,)), InvalidParameter, _NOT_SEQUENCE),
+        (lambda: refine_masks((c for c in [ItemSet.full(8)]), [(4, 4)], RngStream(0), 1), InvalidParameter, _NOT_SEQUENCE),
     ],
-    ids=["float-bits", "float-m", "str-m", "list-indices", "int-halves", "int-cell", "int-partition-cell"],
+    ids=[
+        "float-bits",
+        "float-m",
+        "str-m",
+        "list-indices",
+        "int-halves",
+        "int-cell",
+        "int-partition-cell",
+        "str-m-from_hex",
+        "negative-m-from_hex",
+        "int-partition-counts",
+        "iterator-partition-counts",
+        "generator-partition-cells",
+        "generator-cells",
+    ],
 )
-def test_bad_argument_types_raise_from_an_explicit_check(call, error):
-    # Each raised TypeError or AttributeError from inside a set operation.
-    with pytest.raises(error, match="cannot be interpreted as an integer|numpy array|ItemSet"):
+def test_bad_argument_types_raise_from_an_explicit_check(call, error, match):
+    # Each raised TypeError or AttributeError from inside a set operation, or
+    # (from_hex(-16, "")) a message naming a negative digit count.
+    with pytest.raises(error, match=match):
         call()
 
 

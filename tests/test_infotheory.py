@@ -49,6 +49,10 @@ class TestJointDistribution:
             JointDistribution(("x", "x"), {(0, 0): 1.0})
         with pytest.raises(ValueError):
             dist1("x", {0: 1.5, 1: -0.5})
+        # NaN compares False against every bound, so it needs its own check.
+        for probs in ({0: math.nan}, {0: math.nan, 1: 1.0}, {0: 1j}, {0: "1"}, {0: None}):
+            with pytest.raises(ValueError, match="is not a real number"):
+                dist1("x", probs)
 
     def test_marginal_and_unknown_variables(self):
         d = JointDistribution(

@@ -26,14 +26,12 @@ from bxoslab import (
 from bxoslab import sampling
 from bxoslab.construction import (
     _joint_cells,
-    clause_pair_cell_counts,
-    compatible_cell_counts,
+    constant_vectors,
     sample_basis,
     sample_clause_pairs,
     sample_compatible,
     sample_instance,
     sample_special_pair,
-    special_pair_cell_counts,
 )
 from bxoslab.stats import chi2_sf, uniform_chi2
 from test_acceptance import pc_masks
@@ -871,20 +869,20 @@ def one_row_block_counts(law, draws):
         if law == "clause-pair":
             # Clause 1 of a pair holds classes (both, first only) of the
             # basis's cell 01: 2500 of its 7500 items.
-            row = clause_pair_cell_counts(m)[1]
+            row = constant_vectors(m).clause_pair_counts[1]
             cell, successes = base.cells[1], row[0] + row[1]
             sets = [a1 for a1, _ in sample_clause_pairs(base, rng, draws)]
         elif law == "compatible":
             # Items of the basis's cell 01 that the second basis puts in its
             # own cell 01: class 01 of that cell's table row.
-            row = compatible_cell_counts(m)[1]
+            row = constant_vectors(m).compatible_counts[1]
             cell, successes = base.cells[1], row[1]
             sets = [sample_compatible(base, rng).cells[1] for _ in range(draws)]
         else:
             # The first clause of a special pair holds classes (both, first
             # only) of joint cell 0000.
             t = sample_compatible(base, rng)
-            row = special_pair_cell_counts(m)[0]
+            row = constant_vectors(m).special_pair_counts[0]
             cell, successes = ItemSet(m, _joint_cells(base, t)[0]), row[0] + row[1]
             sets = [sample_special_pair(base, t, rng)[0] for _ in range(draws)]
         assert sum(1 for v in row if v) >= 2, row  # the cell is shuffled, not fixed
