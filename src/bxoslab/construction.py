@@ -20,11 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Literal, Sequence
 
-from .itemsets import ItemSet, UniverseMismatch, part_cells, part_profile
+from .itemsets import ItemSet, UniverseMismatch, _cell_bits, part_cells, part_profile
 from .rng import RngStream
-from .sampling import _checked_count, _draw, _plan
+from .sampling import _checked_count, _draw
 
 Variant = Literal["nu", "nu_prime"]
 VARIANTS = ("nu", "nu_prime")
@@ -173,7 +174,8 @@ def _reference_profiles() -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def constant_vectors(m: int) -> ConstantVectors:
-    """All profile vectors scaled to universe size ``m`` (16 must divide m)."""
+    """All profile vectors scaled to universe size ``m``, an int that 16 divides."""
+    m = index(m)
     pair16, opt16 = _reference_profiles()
     cmp, pair, opt = _scaled(_CMP_BASE, m), _scaled(pair16, m), _scaled(opt16, m)
     return ConstantVectors(
@@ -215,13 +217,13 @@ def _basis_from_pattern_classes(m: int, classes: Sequence[int]) -> Basis:
 
 def sample_basis(m: int, rng: RngStream) -> Basis:
     """Uniform draw over all bases."""
-    classes = _draw(_plan((constant_vectors(m).basis,)), [(1 << m) - 1], rng, 1)[0]
+    classes = _draw((constant_vectors(m).basis,), [(1 << m) - 1], rng, 1)[0]
     return _basis_from_pattern_classes(m, classes)
 
 
 def sample_compatible(base: Basis, rng: RngStream) -> Basis:
     """Uniform draw over bases the given basis is compatible with."""
-    classes = _draw(_plan(constant_vectors(base.m).compatible_counts), [c.bits for c in base.cells], rng, 1)[0]
+    classes = _draw(constant_vectors(base.m).compatible_counts, [c.bits for c in base.cells], rng, 1)[0]
     return _basis_from_pattern_classes(base.m, classes)
 
 
@@ -241,7 +243,7 @@ def sample_clause_pairs(base: Basis, rng: RngStream, count: int) -> list[tuple[I
     """
     count = _checked_count(count, "count")
     m = base.m
-    rows = _draw(_plan(constant_vectors(m).clause_pair_counts), [c.bits for c in base.cells], rng, count)
+    rows = _draw(constant_vectors(m).clause_pair_counts, [c.bits for c in base.cells], rng, count)
     return [_pair_from_joint_classes(m, classes) for classes in rows]
 
 
@@ -253,7 +255,7 @@ def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
 def sample_special_pair(s: Basis, t: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
     """Uniform draw over special clause pairs for a compatible basis pair."""
     m = s.m
-    classes = _draw(_plan(constant_vectors(m).special_pair_counts), _compatible_cells(s, t), rng, 1)[0]
+    classes = _draw(constant_vectors(m).special_pair_counts, _compatible_cells(s, t), rng, 1)[0]
     return _pair_from_joint_classes(m, classes)
 
 
@@ -261,13 +263,10 @@ def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> B
     """Uniform draw over bases whose joint 64-cell profile with (s, a1, a2)
     equals the full profile, i.e. those making the given clause pair special."""
     m = s.m
-    x, y = _bits(m, a1), _bits(m, a2)
-    if not _are_clause_pairs([c.bits for c in s.cells], [x], [y], constant_vectors(m))[0]:
+    if not _are_clause_pairs([c.bits for c in s.cells], [_bits(m, a1)], [_bits(m, a2)], constant_vectors(m))[0]:
         raise ConstructionError("sets do not form a clause pair for this basis")
-    # The 16 cells of (s1, s2, a1, a2) in part_cells order: within each basis
-    # cell, neither, a2 only, a1 only, both.
-    cells = [c.bits & z for c in s.cells for z in (~(x | y), y & ~x, x & ~y, x & y)]
-    classes = _draw(_plan(constant_vectors(m).second_basis_counts), cells, rng, 1)[0]
+    cells = [z for c in s.cells for z in _cell_bits(m, (a1, a2), c.bits)]
+    classes = _draw(constant_vectors(m).second_basis_counts, cells, rng, 1)[0]
     return _basis_from_pattern_classes(m, classes)
 
 
@@ -417,7 +416,6 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
         raise ConstructionError("at least one clause index is required")
     if variant not in VARIANTS:
         raise ConstructionError(f"unknown variant {variant!r}")
-    constant_vectors(m)  # validates m up front
 
     s = sample_basis(m, rng)
     if variant == "nu":

@@ -40,11 +40,15 @@ class JointDistribution:
         codes = [{v: j for j, v in enumerate(axis)} for axis in labels]
         table = np.zeros([len(axis) for axis in labels])
         for values, p in probs.items():
-            if not isinstance(p, Real) or math.isnan(p):
+            try:
+                q = float(p) if isinstance(p, Real) else math.nan
+            except OverflowError:
+                raise ValueError("probability too large for a float") from None
+            if math.isnan(q):
                 raise ValueError(f"probability {p!r} is not a real number")
-            if p < -_SUM_TOL:
+            if q < -_SUM_TOL:
                 raise ValueError(f"negative probability {p}")
-            table[tuple(code[v] for code, v in zip(codes, values))] = p
+            table[tuple(code[v] for code, v in zip(codes, values))] = q
         total = float(table.sum())
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")

@@ -103,28 +103,27 @@ _LABEL_CHUNK = 1 << 15
 
 class _Plan:
     """What a count table alone fixes about a refinement (see refine_masks):
-    the cell sizes, and with them the universe size, its rows must match;
-    the one-class cells as ``(cell, class)``; the multi-class cells as
-    ``(cell, a, b)``, side by side as the columns ``a:b`` of ``total``.
-    It only derives: the table reaches it checked, by :func:`_checked_plan`
+    the universe size its rows must match; the one-class cells as
+    ``(cell, class)``; the multi-class cells as ``(cell, a, b)``, side by
+    side as the columns ``a:b`` of one index array.  It only derives: the
+    table reaches it through :func:`_draw`, checked by :func:`_checked_table`
     or as one of ``construction``'s constant tables."""
 
     def __init__(self, table: tuple[tuple[int, ...], ...]) -> None:
         self.table = table
-        self.sizes = tuple(sum(row) for row in table)
-        self.m = sum(self.sizes)
+        self.m = sum(map(sum, table))
         self.n_classes = len(table[0])
         fixed: list[tuple[int, int]] = []
         multi: list[tuple[int, int, int]] = []
-        total = 0
-        for i, (row, size) in enumerate(zip(table, self.sizes)):
+        width = 0
+        for i, row in enumerate(table):
             nonzero = [j for j, cnt in enumerate(row) if cnt]
             if len(nonzero) == 1:
                 fixed.append((i, nonzero[0]))
             elif nonzero:
-                multi.append((i, total, total + size))
-                total += size
-        self.fixed, self.multi, self.total = tuple(fixed), tuple(multi), total
+                multi.append((i, width, width + sum(row)))
+                width = multi[-1][2]
+        self.fixed, self.multi = tuple(fixed), tuple(multi)
 
     @cached_property
     def class_offsets(self) -> np.ndarray:
@@ -137,7 +136,7 @@ class _Plan:
         return np.concatenate([np.repeat(classes - k * width, self.table[i]) for k, (i, _, _) in enumerate(self.multi)])
 
 
-# One plan per count table; only checked tables reach it.
+# One plan per count table, built by _draw; only checked tables reach it.
 _plan = lru_cache(maxsize=64)(_Plan)
 
 
@@ -152,7 +151,7 @@ def _checked_count(value: int, name: str) -> int:
     return value
 
 
-def _checked_plan(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]]) -> _Plan:
+def _checked_table(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
     # The entry check of refine_masks, in the order its docstring gives;
     # only a table that passes reaches the plan cache.
     _check_partition(cells)
@@ -176,7 +175,7 @@ def _checked_plan(cells: Sequence[ItemSet], class_counts: Sequence[Sequence[int]
     for row, cell in zip(table, cells):
         if sum(row) != len(cell):
             raise InvalidParameter(f"class counts {row} do not sum to cell size {len(cell)}")
-    return _plan(tuple(table))
+    return tuple(table)
 
 
 def refine_masks(
@@ -219,7 +218,7 @@ def refine_masks(
     the draw below, with several numpy calls per cell and class, costs about
     15 times as much per row (300 against 20 us for four 35-46-item cells).
     What the count table alone fixes is its plan, built once per table and
-    cached: the cell sizes the rows must match, the one-class and
+    cached: the universe size the rows must match, the one-class and
     multi-class cells, the multi-class cells' columns of one index array
     and each column's class offset.  A call unpacks all multi-class cells
     at once and adds their items to each row's offset in the chunk; the
@@ -264,16 +263,18 @@ def refine_masks(
     cell; nothing of them is cached.
     """
     rows = _checked_count(rows, "rows")
-    plan = _checked_plan(base_cells, class_counts)
-    return _draw(plan, [c.bits for c in base_cells], rng, rows)
+    table = _checked_table(base_cells, class_counts)
+    return _draw(table, [c.bits for c in base_cells], rng, rows)
 
 
-def _draw(plan: _Plan, cells: Sequence[int], rng: RngStream, rows: int) -> list[list[int]]:
-    # refine_masks without its entry check, from int cell masks, rows >= 0.
-    # The caller owes cells that partition the universe with the plan's
-    # sizes: on others a multi-row chunk misses the counts, and a one-row
-    # chunk may never return, as it takes a cell's last class count from the
-    # plan's size and _release then waits for items that are not there.
+def _draw(table: tuple[tuple[int, ...], ...], cells: Sequence[int], rng: RngStream, rows: int) -> list[list[int]]:
+    # refine_masks without its entry check, from a checked table of tuples,
+    # int cell masks and rows >= 0.  The caller owes cells that partition the
+    # universe with the row sums as sizes: on others a multi-row chunk misses
+    # the counts, and a one-row chunk may never return, as it takes a cell's
+    # last class count from its row sum and _release then waits for items
+    # that are not there.
+    plan = _plan(table)
     m, n_classes = plan.m, plan.n_classes
     # Whole cells that land in one class, as bits shared by every row.
     fixed = [0] * n_classes

@@ -561,6 +561,16 @@ class TestInstances:
             assert inst.variant == variant
             assert inst.r_a[inst.i_star] == inst.r_b[inst.i_star] == inst.theta
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_bad_universe_size_raises_before_any_draw(self, variant):
+        # sample_basis reads constant_vectors(m), which checks m, before it draws.
+        rng = RngStream(61, 0)
+        state = repr(rng.np.bit_generator.state)
+        for m in (24, 8):
+            with pytest.raises(ConstructionError, match="positive multiple of 16"):
+                sample_instance(m, 4, variant, rng)
+            assert repr(rng.np.bit_generator.state) == state
+
     def test_single_index_is_forced_special(self, rng):
         inst = sample_instance(16, 1, "nu", rng)
         assert inst.i_star == 0
@@ -754,15 +764,15 @@ class TestSamplersSkipTheEntryCheck:
         other = next(i for i, row in enumerate(table) if i != both and any(row))
         draw, handed = construction._draw, []
 
-        def overlapping(plan, cells, rng, rows):
-            if plan.table == table:
+        def overlapping(given, cells, rng, rows):
+            if given == table:
                 # An item of the other cell replaces one of this cell's: the
                 # sizes stay, but that item lies in two cells and the
                 # replaced one in none, so it is in neither clause.
                 cells = list(cells)
                 cells[both] ^= (cells[both] & -cells[both]) | (cells[other] & -cells[other])
                 handed.append(cells)
-            return draw(plan, cells, rng, rows)
+            return draw(given, cells, rng, rows)
 
         monkeypatch.setattr(construction, "_draw", overlapping)
         # The engine draws from such cells without a complaint ...
@@ -774,6 +784,15 @@ class TestSamplersSkipTheEntryCheck:
             with pytest.raises(ConstructionError):
                 sample_instance(m, 4, "nu", RngStream(53, 3).child(k))
         assert len(handed) == 6
+
+    def test_instances_plan_each_constant_table_once(self):
+        # The engine plans the tables it is handed: the basis profile and the
+        # four count tables of constant_vectors(m), one cache miss each.
+        sampling._plan.cache_clear()
+        for k in range(10):
+            for variant in VARIANTS:
+                sample_instance(160, 4, variant, RngStream(59, k))
+        assert sampling._plan.cache_info().misses == 5
 
     def test_a_negative_clause_pair_count_is_rejected(self, rng):
         with pytest.raises(InvalidParameter, match="count must be >= 0, got -1"):

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bxoslab import InvalidParameter, ItemSet, PartitionParameter, RngStream, refine_masks, sample_instance
+from bxoslab import InvalidParameter, ItemSet, PartitionParameter, RngStream, constant_vectors, refine_masks, sample_instance
 from bxoslab.construction import Basis, ConstructionError
 from bxoslab.itemsets import UniverseMismatch
 from bxoslab.lab import instance_from_json, instance_to_json
@@ -250,23 +250,45 @@ def test_decode_inverts_encode(m, data):
 
 
 # Indices below 8 are in range for every universe size from 8 up, so most
-# arrays reach the membership assertion; the rest hold an out-of-range minority.
+# lists reach the membership assertion; the wide ones hold an out-of-range
+# minority.
 low_items = st.integers(0, 7)
-index_arrays = st.tuples(
-    st.lists(low_items, max_size=6) | st.lists(low_items | st.integers(-100, 100), min_size=1, max_size=6),
-    st.sampled_from(["int64", "int16", "uint32", "float64", "bool", "object", "list", "tuple"]),
-) | st.tuples(
-    # numpy casts uint64 indices to intp, where the top 64 values would wrap
-    # round to the last 64 items.
-    st.lists(low_items | st.integers(2**64 - 64, 2**64 - 1), min_size=1, max_size=6),
-    st.just("uint64"),
-)
+low_lists = st.lists(low_items, max_size=6)
+index_lists = low_lists | st.lists(low_items | st.integers(-100, 100), min_size=1, max_size=6)
+integer_kinds = ["int64", "int16", "uint32"]
+
+
+@st.composite
+def itemset_constructor_calls(draw):
+    """A constructor, a universe size, index values and their kind.  Both
+    sides of the first choice offer from_numpy_indices, so it takes about
+    five calls in eight.  Each of those starts from a size of 8 to 80, an
+    integer dtype it takes and values below 8, and then, unless the case is
+    "none", takes one fault: a size from ``sizes``, a dtype it rejects, wide
+    values, or uint64 values near 2**64, which numpy's cast to intp would
+    wrap round to the last 64 items."""
+    constructors = st.sampled_from(["empty", "full", "from_indices", "from_numpy_indices"])
+    constructor = draw(constructors | st.just("from_numpy_indices"))
+    if constructor != "from_numpy_indices":
+        kind = draw(st.sampled_from([*integer_kinds, "float64", "bool", "object", "list", "tuple"]))
+        return constructor, draw(sizes), draw(index_lists), kind
+    m, kind, values = draw(st.integers(8, 80)), draw(st.sampled_from(integer_kinds)), draw(low_lists)
+    case = draw(st.just("none") | st.sampled_from(["size", "kind", "range", "uint64"]))
+    if case == "size":
+        m = draw(sizes)
+    elif case == "kind":
+        kind = draw(st.sampled_from(["float64", "bool", "object"]))
+    elif case == "range":
+        values = draw(index_lists)
+    elif case == "uint64":
+        kind, values = "uint64", draw(st.lists(low_items | st.integers(2**64 - 64, 2**64 - 1), min_size=1, max_size=6))
+    return constructor, m, values, kind
 
 
 @settings(max_examples=300, deadline=None)
-@given(sizes, st.sampled_from(["empty", "full", "from_indices", "from_numpy_indices"]), index_arrays)
-def test_itemset_constructors_raise_only_declared_errors(m, constructor, items):
-    values, kind = items
+@given(itemset_constructor_calls())
+def test_itemset_constructors_raise_only_declared_errors(call):
+    constructor, m, values, kind = call
     if kind == "uint32":
         values = [abs(v) for v in values]
     indices = {"list": list, "tuple": tuple}.get(kind, lambda v: np.array(v, dtype=kind))(values)
@@ -366,6 +388,8 @@ _NOT_SEQUENCE = "must be a sequence"
         (lambda: PartitionParameter((ItemSet.full(8),), iter([4])), InvalidParameter, _NOT_SEQUENCE),
         (lambda: PartitionParameter((c for c in [ItemSet.full(8)]), (4,)), InvalidParameter, _NOT_SEQUENCE),
         (lambda: refine_masks((c for c in [ItemSet.full(8)]), [(4, 4)], RngStream(0), 1), InvalidParameter, _NOT_SEQUENCE),
+        (lambda: constant_vectors(160.0), TypeError, _NOT_INT),
+        (lambda: sample_instance(160.0, 4, "nu", RngStream(0)), TypeError, _NOT_INT),
     ],
     ids=[
         "float-bits",
@@ -381,11 +405,14 @@ _NOT_SEQUENCE = "must be a sequence"
         "iterator-partition-counts",
         "generator-partition-cells",
         "generator-cells",
+        "float-m-constant_vectors",
+        "float-m-sample_instance",
     ],
 )
 def test_bad_argument_types_raise_from_an_explicit_check(call, error, match):
     # Each raised TypeError or AttributeError from inside a set operation, or
-    # (from_hex(-16, "")) a message naming a negative digit count.
+    # (from_hex(-16, "")) a message naming a negative digit count, or
+    # (constant_vectors(160.0)) returned a record of float counts.
     with pytest.raises(error, match=match):
         call()
 

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -53,6 +54,10 @@ class TestJointDistribution:
         for probs in ({0: math.nan}, {0: math.nan, 1: 1.0}, {0: 1j}, {0: "1"}, {0: None}):
             with pytest.raises(ValueError, match="is not a real number"):
                 dist1("x", probs)
+        # A float cannot hold these; the check says so instead of float()'s OverflowError.
+        for p in (10**400, Fraction(10**400)):
+            with pytest.raises(ValueError, match="too large for a float"):
+                dist1("x", {0: p})
 
     def test_marginal_and_unknown_variables(self):
         d = JointDistribution(
