@@ -62,19 +62,20 @@ def _check_out(path: str) -> None:
         raise ConfigError(f"--out {path!r}: parent directory does not exist")
 
 
-# Driver options and defaults; a report's config takes unoffered ones from here.
+# Driver options; their defaults, and the values of options a verb does not
+# offer, are ExperimentConfig's.
 _OPTIONS = {
-    "m": dict(type=int, default=160, help="universe size (multiple of 16)"),
-    "n": dict(type=int, default=4, help="clause indices per bidder"),
-    "eps": dict(type=float, default=0.002, help="slack fraction of m"),
-    "trials": dict(type=int, default=1, help="instances or trials to run"),
-    "variant": dict(choices=VARIANTS, default="nu"),
+    "m": dict(type=int, help="universe size (multiple of 16)"),
+    "n": dict(type=int, help="clause indices per bidder"),
+    "eps": dict(type=float, help="slack fraction of m"),
+    "trials": dict(type=int, help="instances or trials to run"),
+    "variant": dict(choices=VARIANTS),
 }
 
 
 def _add_common(parser: argparse.ArgumentParser, reads: tuple[str, ...] = tuple(_OPTIONS)) -> None:
     for name in reads:
-        parser.add_argument(f"--{name}", **_OPTIONS[name])
+        parser.add_argument(f"--{name}", default=argparse.SUPPRESS, **_OPTIONS[name])
     parser.add_argument("--seed", type=int, default=None, help="master seed (default: $BXOSLAB_SEED or 0)")
     parser.add_argument("--out", type=str, default=None, help="write the JSON result here")
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config(args: argparse.Namespace, protocol: str | None = None) -> ExperimentConfig:
     seed = args.seed if args.seed is not None else _default_seed()
-    options = {name: getattr(args, name, spec["default"]) for name, spec in _OPTIONS.items()}
+    options = {name: getattr(args, name) for name in _OPTIONS if hasattr(args, name)}
     return ExperimentConfig(**options, seed=seed, protocol=protocol)
 
 

@@ -1,6 +1,6 @@
 """Correlated-basis hard instances for two-bidder binary-XOS auctions.
 
-The construction lives on a universe whose size is a multiple of 16.  A
+The construction lives on a universe of 16k items, k >= 1.  A
 *basis* is a pair of half-size sets with a fixed 4-cell membership profile;
 two bases are *compatible* when their joint 16-cell profile matches a fixed
 vector.  Clause pairs are drawn per basis with fixed profiles, and exactly
@@ -69,7 +69,7 @@ class Basis:
             raise TypeError("basis halves must be ItemSets")
         if self.s1.m != self.s2.m:
             raise UniverseMismatch("basis halves live over different universes")
-        expected = _scaled(_BASIS_BASE, self.m)
+        expected = constant_vectors(self.m).basis
         cells = tuple(part_cells(self.m, self.sets()))
         got = tuple(len(c) for c in cells)
         if got != expected:
@@ -130,36 +130,33 @@ class ConstantVectors:
     second_basis_counts: tuple[tuple[int, ...], ...]
 
 
-def _scaled(base: Sequence[int], m: int) -> tuple[int, ...]:
-    if m % 16 != 0 or m < 16:
-        raise ConstructionError(f"universe size must be a positive multiple of 16, got {m}")
-    scale = m // 16
-    return tuple(v * scale for v in base)
+def _reference_sets() -> tuple[ItemSet, ...]:
+    # The layout's six sets (s1, s2, t1, t2, a1, a2) over REFERENCE_M items.
+    return tuple(ItemSet.from_indices(REFERENCE_M, x) for x in (_REF_S1, _REF_S2, _REF_T1, _REF_T2, _REF_A1, _REF_A2))
 
 
 def reference_configuration() -> tuple[Basis, Basis, tuple[ItemSet, ItemSet]]:
     """The embedded 16-item layout: (S, T, special clause pair)."""
-    m = REFERENCE_M
-    s = Basis(ItemSet.from_indices(m, _REF_S1), ItemSet.from_indices(m, _REF_S2))
-    t = Basis(ItemSet.from_indices(m, _REF_T1), ItemSet.from_indices(m, _REF_T2))
-    a1 = ItemSet.from_indices(m, _REF_A1)
-    a2 = ItemSet.from_indices(m, _REF_A2)
-    return s, t, (a1, a2)
+    s1, s2, t1, t2, a1, a2 = _reference_sets()
+    return Basis(s1, s2), Basis(t1, t2), (a1, a2)
 
 
 @lru_cache(maxsize=None)
 def _reference_profiles() -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Compute (pair_profile, opt_profile) at m=16 from the reference layout,
-    after re-deriving every hard-coded vector from it as a consistency check."""
+    after re-deriving every hard-coded vector from it as a consistency check.
+
+    It counts the six sets directly: a ``Basis`` checks its profile against
+    ``constant_vectors``, which reads these profiles."""
     m = REFERENCE_M
-    s, t, (a1, a2) = reference_configuration()
-    st = (*s.sets(), *t.sets())
+    s1, s2, t1, t2, a1, a2 = _reference_sets()
+    s, st = (s1, s2), (s1, s2, t1, t2)
     checks = {
-        "basis": (part_profile(m, s.sets()), _BASIS_BASE),
+        "basis": (part_profile(m, s), _BASIS_BASE),
         "cmp": (part_profile(m, st), _CMP_BASE),
-        "reg": (part_profile(m, s.sets(), a1), _REG_BASE),
-        "reg_rev": (part_profile(m, s.rev.sets(), a2), _REG_BASE),
-        "regpair": (part_profile(m, s.sets(), a1 & a2), _REGPAIR_BASE),
+        "reg": (part_profile(m, s, a1), _REG_BASE),
+        "reg_rev": (part_profile(m, (s2, s1), a2), _REG_BASE),
+        "regpair": (part_profile(m, s, a1 & a2), _REGPAIR_BASE),
         "spec1": (part_profile(m, st, a1), _SPEC1_BASE),
         "spec2": (part_profile(m, st, a2), _SPEC2_BASE),
         "specpair": (part_profile(m, st, a1 & a2), _SPECPAIR_BASE),
@@ -167,28 +164,27 @@ def _reference_profiles() -> tuple[tuple[int, ...], tuple[int, ...]]:
     for name, (got, want) in checks.items():
         if got != tuple(want):
             raise ConstructionError(f"reference configuration violates {name}: {got} != {want}")
-    pair = part_profile(m, (*s.sets(), a1, a2))
+    pair = part_profile(m, (*s, a1, a2))
     opt = part_profile(m, (*st, a1, a2))
     return pair, opt
 
 
-@lru_cache(maxsize=None)
+# Typed, since the keys np.int64(160) and 160.0 are equal: a float must reach index().
+@lru_cache(maxsize=None, typed=True)
 def constant_vectors(m: int) -> ConstantVectors:
-    """All profile vectors scaled to universe size ``m``, an int that 16 divides."""
+    """All profile vectors scaled to universe size ``m``: the construction's
+    one universe check.  ``m`` goes through ``operator.index``, must be 16k
+    for some k >= 1, and is held in the record as a plain int."""
     m = index(m)
+    if m % 16 != 0 or m < 16:
+        raise ConstructionError(f"universe size must be a positive multiple of 16, got {m}")
     pair16, opt16 = _reference_profiles()
-    cmp, pair, opt = _scaled(_CMP_BASE, m), _scaled(pair16, m), _scaled(opt16, m)
+    basis, cmp, reg, regpair, spec1, spec2, specpair, pair, opt = (
+        tuple(v * (m // 16) for v in base)
+        for base in (_BASIS_BASE, _CMP_BASE, _REG_BASE, _REGPAIR_BASE, _SPEC1_BASE, _SPEC2_BASE, _SPECPAIR_BASE, pair16, opt16)
+    )
     return ConstantVectors(
-        m=m,
-        basis=_scaled(_BASIS_BASE, m),
-        cmp=cmp,
-        reg=_scaled(_REG_BASE, m),
-        regpair=_scaled(_REGPAIR_BASE, m),
-        spec1=_scaled(_SPEC1_BASE, m),
-        spec2=_scaled(_SPEC2_BASE, m),
-        specpair=_scaled(_SPECPAIR_BASE, m),
-        pair_profile=pair,
-        opt_profile=opt,
+        m, basis, cmp, reg, regpair, spec1, spec2, specpair, pair, opt,
         compatible_counts=_blocks(cmp),
         clause_pair_counts=_blocks(pair, reverse=True),
         special_pair_counts=_blocks(opt, reverse=True),
@@ -217,8 +213,9 @@ def _basis_from_pattern_classes(m: int, classes: Sequence[int]) -> Basis:
 
 def sample_basis(m: int, rng: RngStream) -> Basis:
     """Uniform draw over all bases."""
-    classes = _draw((constant_vectors(m).basis,), [(1 << m) - 1], rng, 1)[0]
-    return _basis_from_pattern_classes(m, classes)
+    vec = constant_vectors(m)
+    classes = _draw((vec.basis,), [(1 << vec.m) - 1], rng, 1)[0]
+    return _basis_from_pattern_classes(vec.m, classes)
 
 
 def sample_compatible(base: Basis, rng: RngStream) -> Basis:
@@ -412,6 +409,7 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
     values in {1, 2}: theta, then r_a, then r_b, whose entries at the
     special index then take theta's value.
     """
+    n = index(n)
     if n < 1:
         raise ConstructionError("at least one clause index is required")
     if variant not in VARIANTS:
@@ -439,7 +437,7 @@ def sample_instance(m: int, n: int, variant: Variant, rng: RngStream) -> Instanc
     r_b[i_star] = theta
 
     inst = Instance(
-        m=m,
+        m=s.m,
         n=n,
         variant=variant,
         s=s,

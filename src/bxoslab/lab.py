@@ -74,7 +74,9 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    m: int
+    """One run's inputs, and the one home of every driver default."""
+
+    m: int = 160
     n: int = 4
     eps: float = 0.002
     trials: int = 1

@@ -1,4 +1,6 @@
 import gc
+import json
+import warnings
 import weakref
 from dataclasses import replace
 from fractions import Fraction
@@ -43,6 +45,7 @@ from bxoslab.construction import (
     sample_second_basis,
 )
 
+from bxoslab.lab import instance_to_json
 from naive_reference import naive_part_profile
 
 
@@ -72,6 +75,26 @@ class TestConstantVectors:
             constant_vectors(24)
         with pytest.raises(ConstructionError):
             constant_vectors(8)
+
+    def test_a_basis_needs_a_universe_that_16_divides(self):
+        # Basis reads its profile from constant_vectors, the one universe check.
+        s1, s2 = ItemSet.from_indices(24, range(12)), ItemSet.from_indices(24, range(6, 18))
+        with pytest.raises(ConstructionError, match="positive multiple of 16"):
+            Basis(s1, s2)
+
+    def test_a_cached_numpy_size_does_not_admit_a_float(self):
+        # The cache key of np.int64(160) equals that of 160.0.
+        assert constant_vectors(np.int64(160)) == constant_vectors(160)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            constant_vectors(160.0)
+
+    def test_reference_profiles_build_no_basis(self, monkeypatch):
+        # Basis checks its profile against constant_vectors, which reads the
+        # reference profiles; building them from Basis objects would recurse.
+        monkeypatch.setattr(construction, "Basis", None)
+        construction._reference_profiles.cache_clear()
+        construction.constant_vectors.cache_clear()
+        assert construction._reference_profiles()[0] == constant_vectors(16).pair_profile
 
     def test_pair_profile_computed_from_reference(self, reference):
         s, _, (a1, a2) = reference
@@ -273,6 +296,11 @@ class TestSamplers:
             assert part_profile(160, b.sets()) == constant_vectors(160).basis
             assert len(b.s1) == len(b.s2) == 80
             assert b.s1.intersection_size(b.s2) == 50  # 5m/16
+
+    def test_a_numpy_universe_size_draws_as_an_int_does(self):
+        want = sample_basis(16, RngStream(63, 0))
+        got = sample_basis(np.int64(16), RngStream(63, 0))
+        assert got == want and type(got.m) is int
 
     @pytest.mark.parametrize("m", [16, 160])
     def test_reversal_is_a_basis(self, m, rng):
@@ -570,6 +598,18 @@ class TestInstances:
             with pytest.raises(ConstructionError, match="positive multiple of 16"):
                 sample_instance(m, 4, variant, rng)
             assert repr(rng.np.bit_generator.state) == state
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_numpy_integer_sizes_draw_as_ints_do(self, variant):
+        # m and n go through operator.index, so the instance holds plain ints
+        # and serializes; uint16 arithmetic on m would overflow and warn.
+        want = json.dumps(instance_to_json(sample_instance(160, 4, variant, RngStream(62, 0))))
+        for m in (np.int64(160), np.uint16(160)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                inst = sample_instance(m, np.int64(4), variant, RngStream(62, 0))
+            assert type(inst.m) is int and type(inst.n) is int
+            assert json.dumps(instance_to_json(inst)) == want
 
     def test_single_index_is_forced_special(self, rng):
         inst = sample_instance(16, 1, "nu", rng)

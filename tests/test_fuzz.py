@@ -16,13 +16,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bxoslab import InvalidParameter, ItemSet, PartitionParameter, RngStream, constant_vectors, refine_masks, sample_instance
+from bxoslab.cli import main as cli_main
 from bxoslab.construction import Basis, ConstructionError
 from bxoslab.itemsets import UniverseMismatch
 from bxoslab.lab import instance_from_json, instance_to_json
 from bxoslab.protocols import (
+    PROTOCOL_NAMES,
     Message,
     ProtocolError,
     decode_basis,
@@ -370,6 +372,8 @@ def test_partition_parameter_raises_only_invalid_parameter(call):
 
 _NOT_INT = "cannot be interpreted as an integer"
 _NOT_SEQUENCE = "must be a sequence"
+# The stream of the sampling calls below, which must fail before any draw.
+_UNDRAWN = RngStream(0)
 
 
 @pytest.mark.parametrize(
@@ -389,7 +393,8 @@ _NOT_SEQUENCE = "must be a sequence"
         (lambda: PartitionParameter((c for c in [ItemSet.full(8)]), (4,)), InvalidParameter, _NOT_SEQUENCE),
         (lambda: refine_masks((c for c in [ItemSet.full(8)]), [(4, 4)], RngStream(0), 1), InvalidParameter, _NOT_SEQUENCE),
         (lambda: constant_vectors(160.0), TypeError, _NOT_INT),
-        (lambda: sample_instance(160.0, 4, "nu", RngStream(0)), TypeError, _NOT_INT),
+        (lambda: sample_instance(160.0, 4, "nu", _UNDRAWN), TypeError, _NOT_INT),
+        (lambda: sample_instance(160, 4.0, "nu", _UNDRAWN), TypeError, _NOT_INT),
     ],
     ids=[
         "float-bits",
@@ -407,16 +412,96 @@ _NOT_SEQUENCE = "must be a sequence"
         "generator-cells",
         "float-m-constant_vectors",
         "float-m-sample_instance",
+        "float-n-sample_instance",
     ],
 )
 def test_bad_argument_types_raise_from_an_explicit_check(call, error, match):
     # Each raised TypeError or AttributeError from inside a set operation, or
     # (from_hex(-16, "")) a message naming a negative digit count, or
-    # (constant_vectors(160.0)) returned a record of float counts.
+    # (constant_vectors(160.0)) returned a record of float counts, or
+    # (sample_instance(160, 4.0, ...)) failed only after drawing.
+    state = repr(_UNDRAWN.np.bit_generator.state)
     with pytest.raises(error, match=match):
         call()
+    assert repr(_UNDRAWN.np.bit_generator.state) == state
 
 
 def test_bool_universe_is_stored_as_an_int():
     s = ItemSet(True, 1)
     assert type(s.m) is int and repr(s) == "ItemSet(1, {0})"
+
+
+# Each verb's own options, and a small valid value of each.
+_DRIVER = ("m", "n", "eps", "trials", "variant", "seed", "out")
+VERB_OPTIONS = {
+    ("gen",): ("m", "n", "variant", "seed", "out"),
+    ("verify", "concentration"): _DRIVER,
+    ("verify", "theta"): _DRIVER,
+    ("verify", "nu-equivalence"): ("m", "n", "trials", "seed", "out"),
+    ("verify", "info"): ("trials", "seed", "out"),
+    ("run",): ("protocol", *_DRIVER),
+    ("opt",): ("instance", "bruteforce"),
+}
+SMALL_VALUES = {
+    "m": ("16", "32"),
+    "n": ("1", "2"),
+    "eps": ("0.002", "0.1"),
+    "trials": ("1", "2"),
+    "variant": ("nu", "nu_prime"),
+    "seed": ("0", "7"),
+    "protocol": PROTOCOL_NAMES,
+}
+# Numerals parse by Python's int() and float(): non-ASCII digits, underscores,
+# a sign and surrounding spaces are accepted, so five of these read as 16.
+JUNK = ("nan", "inf", "1e-400", str(2**64), "0x10", "\u0661\u0666", "1_6", " 16 ", "", "+16")
+
+
+@st.composite
+def cli_argvs(draw, tmp_path):
+    verb = draw(st.sampled_from(list(VERB_OPTIONS)))
+    names = draw(st.lists(st.sampled_from(VERB_OPTIONS[verb]), unique=True))
+    if verb == ("run",) and "protocol" not in names:
+        names.append("protocol")
+    if verb == ("opt",) and "instance" not in names:
+        names.append("instance")
+    argv = list(verb)
+    for name in names:
+        if name == "bruteforce":
+            argv.append("--bruteforce")
+            continue
+        if name == "out":
+            value = draw(st.sampled_from(("out.json", ".", "missing/out.json")))
+            value = str(tmp_path / value)
+        elif name == "instance":
+            value = str(tmp_path / draw(st.sampled_from(("instance.json", "missing.json", "corrupt.json"))))
+        elif name == "trials":
+            # 2**64 trials is a valid count that would run for ever.
+            value = draw(st.sampled_from((*SMALL_VALUES[name], *(j for j in JUNK if j != str(2**64)))))
+        else:
+            value = draw(st.sampled_from((*SMALL_VALUES[name], *JUNK)))
+        argv += [f"--{name}", value]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_cli_argv_exits_only_with_the_contract_codes(tmp_path, data):
+    # Exit codes: 0 pass, 1 a check failed, 2 an unusable invocation, which
+    # argparse reports by raising SystemExit(2).
+    (tmp_path / "instance.json").write_text(json.dumps(VALID))
+    (tmp_path / "corrupt.json").write_text(json.dumps(VALID)[:-7])
+    argv = data.draw(cli_argvs(tmp_path))
+    try:
+        code = cli_main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+    else:
+        assert code in (0, 1, 2), argv
+
+
+@pytest.mark.parametrize("m, seed", [("\u0661\u0666", "\u0667"), ("1_6", "7"), (" 16 ", "+7")], ids=["arabic-indic", "underscore", "spaces-and-sign"])
+def test_numerals_parse_as_python_reads_them(tmp_path, m, seed):
+    want, got = tmp_path / "want.json", tmp_path / "got.json"
+    assert cli_main(["gen", "--m", "16", "--n", "2", "--seed", "7", "--out", str(want)]) == 0
+    assert cli_main(["gen", "--m", m, "--n", "2", "--seed", seed, "--out", str(got)]) == 0
+    assert got.read_bytes() == want.read_bytes()

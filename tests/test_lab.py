@@ -547,6 +547,15 @@ class TestCli:
             # A flag parses to True, an option to its value.
             assert parsed is True if not OPTION_VALUES[option] else (str(parsed),) == OPTION_VALUES[option]
 
+    @pytest.mark.parametrize("verb", [v for v in OFFERED_OPTIONS if v != ("opt",)], ids=" ".join)
+    def test_driver_defaults_are_experiment_configs(self, verb):
+        # cli._OPTIONS holds no default: every option not given is ExperimentConfig's.
+        extra = ("--protocol", "trivial") if verb == ("run",) else ()
+        args = cli.build_parser().parse_args([*verb, *extra, "--seed", "9"])
+        protocol = "trivial" if extra else None
+        assert cli._config(args, protocol=protocol) == ExperimentConfig(seed=9, protocol=protocol)
+        assert all("default" not in spec for spec in cli._OPTIONS.values())
+
     def test_reports_keep_the_default_config_of_options_not_offered(self, tmp_path):
         # The config block of every report names all five driver options, so
         # `verify info` and `verify nu-equivalence` record the defaults of
