@@ -6,12 +6,18 @@ table, in bits.  A joint is a float64 ndarray with one axis per named
 variable; each axis carries the tuple of value labels its positions stand
 for.  Supports are kept tiny, so the dense table stays small and roundoff
 stays far below the 1e-9 tolerances used by the identity suite.
+
+Each joint caches its entropies by variable set, as an axis bitmask, and
+computes one only when it is first asked for.  Names are checked on every
+call, cached or not: a repeated name raises ``ValueError`` and an unknown
+one ``KeyError``.
 """
 
 from __future__ import annotations
 
 import math
 import time
+from functools import lru_cache
 from itertools import product
 from numbers import Real
 from typing import Callable, Mapping, Sequence
@@ -66,29 +72,43 @@ class JointDistribution:
         self.variables = variables
         self.labels = tuple(labels)
         self.table = table
-        self._entropies: dict[frozenset, float] = {}
+        self._bits = {v: 1 << a for a, v in enumerate(variables)}
+        self._entropies: dict[int, float] = {}
 
     @property
     def probs(self) -> dict[tuple, float]:
         """The positive cells as a ``{value tuple: probability}`` table."""
+        positive = self.table > 0.0
         return {
-            tuple(axis[j] for axis, j in zip(self.labels, idx)): float(self.table[tuple(idx)])
-            for idx in np.argwhere(self.table > 0.0).tolist()
+            tuple(axis[j] for axis, j in zip(self.labels, idx)): p
+            for idx, p in zip(np.argwhere(positive).tolist(), self.table[positive].tolist())
         }
 
-    def _columns(self, names: Sequence[str]) -> list[int]:
-        if len(set(names)) != len(names):
-            raise ValueError(f"repeated variable in {tuple(names)}")
+    def _mask(self, names: Sequence[str]) -> int:
+        """The axis bitmask of ``names``: bit ``a`` stands for axis ``a``.  A
+        repeated name raises ``ValueError``; failing that, an unknown name
+        raises ``KeyError``."""
         try:
-            return [self.variables.index(v) for v in names]
-        except ValueError as exc:
-            raise KeyError(f"unknown variable in {tuple(names)}") from exc
+            mask = sum(map(self._bits.__getitem__, names))
+        except KeyError:
+            mask = -1
+        # Distinct axis bits sum to a mask with one set bit per name.
+        if mask < 0 or mask.bit_count() != len(names):
+            names = tuple(names)
+            if len(set(names)) != len(names):
+                raise ValueError(f"repeated variable in {names}")
+            raise KeyError(f"unknown variable in {names}")
+        return mask
+
+    def _columns(self, names: Sequence[str]) -> list[int]:
+        self._mask(names)
+        return [self.variables.index(v) for v in names]
 
     def _summed(self, cols: list[int]) -> np.ndarray:
         """The marginal table on ``cols``, with its axes in ``cols`` order."""
         keep = sorted(cols)
-        dropped = tuple(a for a in range(self.table.ndim) if a not in keep)
-        return self.table.sum(axis=dropped).transpose([keep.index(c) for c in cols])
+        table = np.add.reduce(self.table, axis=_dropped_axes(self.table.ndim, sum(1 << c for c in cols)))
+        return table.transpose([keep.index(c) for c in cols])
 
     def marginal(self, names: Sequence[str]) -> "JointDistribution":
         cols = self._columns(names)
@@ -96,13 +116,15 @@ class JointDistribution:
 
     def entropy(self, names: Sequence[str] | None = None) -> float:
         """Shannon entropy of the marginal on ``names``, in bits."""
-        names = self.variables if names is None else tuple(names)
-        key = frozenset(names)
-        h = self._entropies.get(key)
+        return self._entropy((1 << self.table.ndim) - 1 if names is None else self._mask(names))
+
+    def _entropy(self, mask: int) -> float:
+        h = self._entropies.get(mask)
         if h is None:
-            table = self._summed(self._columns(names))
+            # Axis order does not change an entropy, so the marginal stays untransposed.
+            table = np.add.reduce(self.table, axis=_dropped_axes(self.table.ndim, mask))
             p = table[table > 0.0]
-            h = self._entropies[key] = -float(np.dot(p, np.log2(p)))
+            h = self._entropies[mask] = -float(np.dot(p, np.log2(p)))
         return h
 
     def mutual_information(
@@ -116,13 +138,12 @@ class JointDistribution:
         Computed as H(XZ) + H(YZ) - H(XYZ) - H(Z), which makes the symmetry
         in X and Y explicit.  The three groups must be disjoint.
         """
-        groups = (*xs, *ys, *given)
-        self._columns(groups)  # rejects unknown and shared variables
-        h_xz = self.entropy((*xs, *given))
-        h_yz = self.entropy((*ys, *given))
-        h_xyz = self.entropy(groups)
-        h_z = self.entropy(given) if given else 0.0
-        return h_xz + h_yz - h_xyz - h_z
+        # One check of all three groups makes them disjoint, so YZ is XYZ without X.
+        xyz = self._mask((*xs, *ys, *given))
+        x = sum(map(self._bits.__getitem__, xs))
+        z = sum(map(self._bits.__getitem__, given))
+        h_z = self._entropy(z) if z else 0.0
+        return self._entropy(x | z) + self._entropy(xyz ^ x) - self._entropy(xyz) - h_z
 
     def with_derived(
         self, name: str, sources: Sequence[str], func: Callable[..., object]
@@ -141,6 +162,12 @@ class JointDistribution:
         codes = codes.transpose([cols.index(c) for c in sorted(cols)]).reshape(shape)
         table = self.table[..., None] * (codes[..., None] == np.arange(len(values)))
         return JointDistribution._from_table((*self.variables, name), (*self.labels, values), table)
+
+
+@lru_cache(maxsize=4096)
+def _dropped_axes(ndim: int, mask: int) -> tuple[int, ...]:
+    """The axes of an ``ndim``-axis table whose bits are clear in ``mask``."""
+    return tuple(a for a in range(ndim) if not mask >> a & 1)
 
 
 def divergences(p: Mapping[object, float], q: Mapping[object, float]) -> tuple[float, float]:
@@ -196,15 +223,13 @@ def _expected_kl_form(d: JointDistribution, x: str, y: str, z: str) -> float:
     return float((p_yz * terms.sum(axis=0)).sum())
 
 
-def _index_selection_case(
-    rng: RngStream, n: int, p_one: float, y_size: int
-) -> tuple[float, float]:
-    """Build one exact selection construction and return both sides of the
-    averaging inequality: (I(X_I; F | Y, I), I(X; F | Y) / n).
+def _selection_joint(rng: RngStream, n: int, p_one: float, y_size: int) -> JointDistribution:
+    """One exact selection construction, the joint of x0..x{n-1}, y, i, f
+    and xi.
 
     X_1..X_n are i.i.d. binary, Y is independent with a random law, I is an
-    independent uniform index, and F is a random deterministic function of
-    (X, Y).
+    independent uniform index, F is a random deterministic function of
+    (X, Y), and xi is X_I.
     """
     y_weights = rng.np.random(y_size) + 1e-9
     y_weights /= y_weights.sum()
@@ -219,7 +244,16 @@ def _index_selection_case(
     labels = [(0, 1)] * n + [tuple(range(y_size)), tuple(range(n))]
     d = JointDistribution._from_table((*x_names, "y", "i"), labels, table)
     d = d.with_derived("f", (*x_names, "y"), lambda *key: f_table[key])
-    d = d.with_derived("xi", (*x_names, "i"), lambda *key: key[key[-1]])
+    return d.with_derived("xi", (*x_names, "i"), lambda *key: key[key[-1]])
+
+
+def _index_selection_case(
+    rng: RngStream, n: int, p_one: float, y_size: int
+) -> tuple[float, float]:
+    """Both sides of the averaging inequality on one selection construction:
+    (I(X_I; F | Y, I), I(X; F | Y) / n)."""
+    d = _selection_joint(rng, n, p_one, y_size)
+    x_names = d.variables[:n]
     lhs = d.mutual_information(("xi",), ("f",), ("y", "i"))
     rhs = d.mutual_information(x_names, ("f",), ("y",)) / n
     return lhs, rhs
@@ -261,7 +295,7 @@ def verify_identities(trials: int, rng: RngStream) -> dict:
         mark = time.perf_counter()
 
         # Entropy range and subadditivity of the joint.
-        supp_x = len(d.marginal((x,)).probs)
+        supp_x = np.count_nonzero(d.marginal((x,)).table)
         hx = d.entropy((x,))
         record("entropy_bounds", max(-hx, hx - math.log2(supp_x)), label)
         record("joint_entropy_subadditive", d.entropy((x, y)) - hx - d.entropy((y,)), label)

@@ -445,7 +445,8 @@ def verify_nu_equivalence(cfg: ExperimentConfig) -> dict:
     and independence tests on the special index within each procedure.
 
     The statistic set is a documented choice, not an exhaustive one; the
-    Bonferroni correction spans all tests in this report.
+    Bonferroni correction spans every test in this report that has degrees
+    of freedom, and the check reports ``info`` when none has.
     """
     if cfg.n < 2:
         raise ConfigError("the equivalence statistics need at least two clause indices")
@@ -459,36 +460,39 @@ def verify_nu_equivalence(cfg: ExperimentConfig) -> dict:
         runtime += seconds
 
     stat_names = ("regular_cross_11", "regular_cross_12", "regular_a_overlap", "special_cross", "i_star")
-    tests: list[tuple[str, float]] = []
+    tests: list[tuple[str, int, float]] = []
     for name in stat_names:
-        _, _, p = two_sample_chi2(
+        _, df, p = two_sample_chi2(
             [s[name] for s in samples["nu"]], [s[name] for s in samples["nu_prime"]]
         )
-        tests.append((f"two_sample:{name}", p))
+        tests.append((f"two_sample:{name}", df, p))
     for variant in VARIANTS:
         counts = [0] * cfg.n
         for s in samples[variant]:
             counts[s["i_star"]] += 1
-        _, _, p = uniform_chi2(counts)
-        tests.append((f"i_star_uniform:{variant}", p))
+        _, df, p = uniform_chi2(counts)
+        tests.append((f"i_star_uniform:{variant}", df, p))
         table = [[0] * 16 for _ in range(cfg.n)]
         for s in samples[variant]:
             table[s["i_star"]][s["a_side_bin"]] += 1
-        _, _, p = independence_chi2(table)
-        tests.append((f"i_star_independent:{variant}", p))
+        _, df, p = independence_chi2(table)
+        tests.append((f"i_star_independent:{variant}", df, p))
 
-    alpha = SIGNIFICANCE / len(tests)
-    rejected = [name for name, p in tests if p < alpha]
+    # A test with no degrees of freedom (its counts fill one bin, row or
+    # column) gives no verdict: it stays listed but leaves the divisor.
+    live = [(name, p) for name, df, p in tests if df > 0]
+    alpha = SIGNIFICANCE / len(live) if live else None
+    rejected = [name for name, p in live if p < alpha]
     add_check(
         report,
         "distribution_equivalence",
-        not rejected,
+        not rejected if live else None,
         {
             "samples_per_variant": cfg.trials,
-            "p_values": {name: p for name, p in tests},
+            "p_values": {name: p for name, _, p in tests},
             "rejected": rejected,
         },
-        {"significance": SIGNIFICANCE, "bonferroni_alpha": alpha, "tests": len(tests)},
+        {"significance": SIGNIFICANCE, "bonferroni_alpha": alpha, "tests": len(live)},
         runtime,
     )
     return report

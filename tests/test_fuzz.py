@@ -8,7 +8,8 @@ table and row count of ``refine_masks``, ``ValueError`` or ``TypeError``
 for the coordinates of an ``RngStream``, the fields of a ``Message`` and the
 arguments of the ``ItemSet`` constructors, and ``InvalidParameter``
 (``UniverseMismatch`` for cells of different widths) for the arguments of
-``PartitionParameter``.
+``PartitionParameter``, and ``KeyError`` or ``ValueError`` for the variable
+names given to a ``JointDistribution``.
 """
 
 import json
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from bxoslab import InvalidParameter, ItemSet, PartitionParameter, RngStream, constant_vectors, refine_masks, sample_instance
 from bxoslab.cli import main as cli_main
 from bxoslab.construction import Basis, ConstructionError
+from bxoslab.infotheory import random_joint
 from bxoslab.itemsets import UniverseMismatch
 from bxoslab.lab import instance_from_json, instance_to_json
 from bxoslab.protocols import (
@@ -505,3 +507,36 @@ def test_numerals_parse_as_python_reads_them(tmp_path, m, seed):
     assert cli_main(["gen", "--m", "16", "--n", "2", "--seed", "7", "--out", str(want)]) == 0
     assert cli_main(["gen", "--m", m, "--n", "2", "--seed", seed, "--out", str(got)]) == 0
     assert got.read_bytes() == want.read_bytes()
+
+
+# The variables of random_joint, two unknown names, and repeats of both.
+JOINT_NAMES = ("w", "x", "y", "z", "zzz", "")
+name_tuples = st.lists(st.sampled_from(JOINT_NAMES), max_size=5).map(tuple)
+
+
+def _outcome(call):
+    try:
+        return "value", call()
+    except (KeyError, ValueError) as exc:
+        return "error", type(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**16), name_tuples, name_tuples, name_tuples, st.data())
+def test_joint_names_are_checked_whatever_is_cached(seed, xs, ys, given_names, data):
+    # Entropies cached by earlier calls, good or bad, change no later outcome.
+    # The warm-up favours the de-duplicated name sets the later calls read.
+    cold, warm = (random_joint(RngStream(seed, 0), max_support=3) for _ in range(2))
+    groups = (xs, (*xs, *given_names), (*ys, *given_names), (*xs, *ys, *given_names))
+    read = [tuple(dict.fromkeys(names)) for names in groups]
+    for names in data.draw(st.lists(st.sampled_from(read) | name_tuples, max_size=8)):
+        _outcome(lambda: warm.entropy(names))
+    for d in (cold, warm):
+        assert d.variables == JOINT_NAMES[:4]
+    calls = [
+        lambda d: d.entropy(xs),
+        lambda d: d.marginal(xs).probs,
+        lambda d: d.mutual_information(xs, ys, given_names),
+    ]
+    for call in calls:
+        assert _outcome(lambda: call(cold)) == _outcome(lambda: call(warm))

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from bxoslab import JointDistribution, RngStream, divergences
-from bxoslab.infotheory import _index_selection_case, random_joint, verify_identities
+from bxoslab.infotheory import _index_selection_case, _selection_joint, random_joint, verify_identities
 
 
 def dist1(name, table):
@@ -92,6 +92,58 @@ class TestJointDistribution:
             for xs, ys, given in ((("z",), ("x",), ("y", "w")), (("s",), ("c", "y"), ()), (("x", "w"), ("s",), ("z",))):
                 want = ref_mutual_information(variables, probs, xs, ys, given)
                 assert abs(d.mutual_information(xs, ys, given) - want) < 1e-12
+
+
+# Calls with a repeated name, an unknown name or overlapping groups, and the
+# error each raises: a repeat is reported before an unknown name.
+BAD_NAME_CALLS = [
+    ("entropy", (("x", "x"),), ValueError),
+    ("entropy", (("y", "x", "y"),), ValueError),
+    ("entropy", (("zzz",),), KeyError),
+    ("entropy", (("x", "zzz"),), KeyError),
+    ("entropy", (("zzz", "zzz"),), ValueError),
+    ("marginal", (("x", "x"),), ValueError),
+    ("marginal", (("zzz", "y"),), KeyError),
+    ("mutual_information", (("x",), ("x",)), ValueError),
+    ("mutual_information", (("x",), ("y",), ("x",)), ValueError),
+    ("mutual_information", (("x", "x"), ("y",)), ValueError),
+    ("mutual_information", (("zzz",), ("y",), ("y",)), ValueError),
+    ("mutual_information", (("zzz",), ("y",)), KeyError),
+    ("mutual_information", (("x",), ("y",), ("w", "zzz")), KeyError),
+]
+
+
+class TestNameChecks:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("method, args, error", BAD_NAME_CALLS)
+    def test_bad_names_raise_whatever_is_cached(self, method, args, error, warm):
+        d = random_joint(RngStream(14, 0))
+        if warm:
+            # Every entropy a bad call could read is already cached.
+            for r in range(len(d.variables) + 1):
+                for names in combinations(d.variables, r):
+                    d.entropy(names)
+        with pytest.raises(error):
+            getattr(d, method)(*args)
+
+    def test_entropy_ignores_name_order_bit_for_bit(self):
+        for trial in range(20):
+            joints = [random_joint(RngStream(15, trial)) for _ in range(2)]
+            assert joints[0].entropy(("y", "x")) == joints[1].entropy(("x", "y"))
+            assert joints[0].entropy(("z", "w", "y")) == joints[1].entropy(("w", "y", "z"))
+
+    def test_nine_axis_selection_joint_matches_dict_reference(self):
+        stream = RngStream(16, 0)
+        d = _selection_joint(stream, 5, 0.3, y_size=2)
+        variables, probs = d.variables, d.probs
+        assert len(variables) == 9
+        for r in range(1, len(variables) + 1):
+            for names in combinations(variables, r):
+                assert abs(d.entropy(names[::-1]) - ref_entropy(variables, probs, names)) < 1e-12
+        x_names = variables[:5]
+        for xs, ys, given in ((("xi",), ("f",), ("y", "i")), (x_names, ("f",), ("y",))):
+            want = ref_mutual_information(variables, probs, xs, ys, given)
+            assert abs(d.mutual_information(xs, ys, given) - want) < 1e-12
 
 
 class TestEntropy:

@@ -265,6 +265,37 @@ class TestDrivers:
         with pytest.raises(ConfigError):
             verify_nu_equivalence(ExperimentConfig(m=160, n=1, trials=5, seed=3))
 
+    def test_nu_equivalence_tests_without_degrees_of_freedom_give_no_verdict(self):
+        # Three trials at m = 16 pool six of the nine tests into one bin
+        # (df 0, 0, 0, 0, 0, 1, 2, 1, 0); they stay listed but leave the divisor.
+        report = verify_nu_equivalence(ExperimentConfig(m=16, n=2, trials=3, seed=0))
+        check = report["checks"][0]
+        assert check["status"] == "pass"
+        assert check["thresholds"]["tests"] == 3
+        assert check["thresholds"]["bonferroni_alpha"] == 0.001 / 3
+        p_values = check["measured"]["p_values"]
+        assert len(p_values) == 9
+        assert [name for name, p in p_values.items() if p == 1.0] == [
+            "two_sample:regular_cross_11",
+            "two_sample:regular_cross_12",
+            "two_sample:regular_a_overlap",
+            "two_sample:special_cross",
+            "two_sample:i_star",
+            "i_star_independent:nu_prime",
+        ]
+
+    def test_nu_equivalence_with_no_degrees_of_freedom_reports_info(self, monkeypatch):
+        for name in ("two_sample_chi2", "uniform_chi2", "independence_chi2"):
+            monkeypatch.setattr(lab, name, lambda *args: (0.0, 0, 1.0))
+        report = verify_nu_equivalence(ExperimentConfig(m=16, n=2, trials=3, seed=0))
+        check = report["checks"][0]
+        assert check["status"] == "info"
+        assert check["thresholds"]["tests"] == 0
+        assert check["thresholds"]["bonferroni_alpha"] is None
+        assert check["measured"]["rejected"] == []
+        assert len(check["measured"]["p_values"]) == 9
+        assert report["passed"]
+
     def test_info_driver_passes(self):
         report = verify_info(ExperimentConfig(m=16, trials=25, seed=4))
         assert report["passed"]
