@@ -241,7 +241,9 @@ def sample_clause_pairs(base: Basis, rng: RngStream, count: int) -> list[tuple[I
     count = _checked_count(count, "count")
     m = base.m
     rows = _draw(constant_vectors(m).clause_pair_counts, [c.bits for c in base.cells], rng, count)
-    return [_pair_from_joint_classes(m, classes) for classes in rows]
+    # _pair_from_joint_classes, inlined: this is the hot loop of every instance.
+    new = ItemSet._new
+    return [(new(m, both | first), new(m, both | second)) for both, first, second, _ in rows]
 
 
 def sample_clause_pair(base: Basis, rng: RngStream) -> tuple[ItemSet, ItemSet]:
@@ -268,9 +270,9 @@ def sample_second_basis(s: Basis, a1: ItemSet, a2: ItemSet, rng: RngStream) -> B
 
 
 def _table(cells: Sequence[int], masks: Iterable[int]) -> list[tuple[int, ...]]:
-    # The one count kernel, behind the predicates below, Instance.validate and
-    # the basis-exchange bidder: per mask, its items in each cell mask.  Masks
-    # are read once, in order, so a generator keeps one m-bit temporary.
+    # The count kernel of the compatibility, clause and special-pair tests
+    # and the basis-exchange bidder: per mask, its items in each cell mask.
+    # The clause-pair test counts its twelve per pair inline instead.
     count = int.bit_count
     return [tuple([count(c & x) for c in cells]) for x in masks]
 
@@ -298,9 +300,11 @@ def _is_compatible(joint: Sequence[int], vec: ConstantVectors) -> bool:
 
 
 def _are_clause_pairs(cells: Sequence[int], firsts: Sequence[int], seconds: Sequence[int], vec: ConstantVectors) -> list[bool]:
-    both = (x & y for x, y in zip(firsts, seconds))
-    profiles = zip(_table(cells, firsts), _table(_rev_order(cells), seconds), _table(cells, both))
-    return [got == (vec.reg, vec.reg, vec.regpair) for got in profiles]
+    # Per pair one flat list of twelve counts: x, y and x & y in each cell;
+    # y is a clause of the reversal, so its counts are reg in reversed order.
+    count = int.bit_count
+    want = [*vec.reg, *_rev_order(vec.reg), *vec.regpair]
+    return [[count(c & z) for z in (x, y, x & y) for c in cells] == want for x, y in zip(firsts, seconds)]
 
 
 def _is_special(joint: Sequence[int], x: int, y: int, vec: ConstantVectors) -> bool:

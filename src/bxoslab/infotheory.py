@@ -73,7 +73,8 @@ class JointDistribution:
         self.labels = tuple(labels)
         self.table = table
         self._bits = {v: 1 << a for a, v in enumerate(variables)}
-        self._entropies: dict[int, float] = {}
+        # The empty set's entropy is 0 exactly, not a sum's roundoff.
+        self._entropies: dict[int, float] = {0: 0.0}
 
     @property
     def probs(self) -> dict[tuple, float]:
@@ -142,8 +143,7 @@ class JointDistribution:
         xyz = self._mask((*xs, *ys, *given))
         x = sum(map(self._bits.__getitem__, xs))
         z = sum(map(self._bits.__getitem__, given))
-        h_z = self._entropy(z) if z else 0.0
-        return self._entropy(x | z) + self._entropy(xyz ^ x) - self._entropy(xyz) - h_z
+        return self._entropy(x | z) + self._entropy(xyz ^ x) - self._entropy(xyz) - self._entropy(z)
 
     def with_derived(
         self, name: str, sources: Sequence[str], func: Callable[..., object]

@@ -127,10 +127,10 @@ class _Plan:
 
     @cached_property
     def class_offsets(self) -> np.ndarray:
-        # Multi-row chunks only: column x of the k-th multi-class cell holds
-        # an item ``k * width + y`` of the unpacked cells, and its offset
-        # moves that item to ``j * width + y``, into class j, which owns the
-        # whole bytes from ``j * width`` of each row's block.
+        # Draws at m <= _BATCH_ITEMS // 2: column x of the k-th multi-class
+        # cell holds an item ``k * width + y`` of the unpacked cells, and its
+        # offset moves that item to ``j * width + y``, into class j, which
+        # owns the whole bytes from ``j * width`` of each row's block.
         width = 8 * ((self.m + 7) // 8)
         classes = np.arange(0, self.n_classes * width, width, dtype=np.intp)
         return np.concatenate([np.repeat(classes - k * width, self.table[i]) for k, (i, _, _) in enumerate(self.multi)])
@@ -213,10 +213,11 @@ def refine_masks(
     cell draws, for each row of the chunk in turn, one uniform permutation
     of its items in ascending order (the draws of ``rng.np.permutation``),
     and the classes with a non-zero count take consecutive blocks of that
-    permutation in class order.  These chunks keep ``permuted``: their
+    permutation in class order.  These chunks keep permutations: their
     cells are small (tens of items in the m = 160 README runs), and there
-    the draw below, with several numpy calls per cell and class, costs about
-    15 times as much per row (300 against 20 us for four 35-46-item cells).
+    the draw below, with several numpy calls per cell and class, costs
+    about 12 times as much per row (260 against 21 us for one clause pair
+    of a basis at m = 160, on a 2-vCPU x86-64 host).
     What the count table alone fixes is its plan, built once per table and
     cached: the universe size the rows must match, the one-class and
     multi-class cells, the multi-class cells' columns of one index array
@@ -224,6 +225,10 @@ def refine_masks(
     at once and adds their items to each row's offset in the chunk; the
     array is ``np.intp``, whose pointer-size items numpy shuffles in its
     fast swap loop, with the same draws as for any other integer type.
+    Each row of the chunk is shuffled by ``rng.np.permuted`` along its
+    axis; a one-row call (``rows == 1``) instead shuffles each cell's
+    items in place with ``Generator.shuffle``, which draws what
+    ``permuted`` draws for one row, and adds no row offset.
     After the draws, one add of the plan's class offsets places each item
     in its (row, class) block, and one set built from all of them, with the
     one-class cells' items added to every row, holds every class mask.
@@ -294,10 +299,18 @@ def _draw(table: tuple[tuple[int, ...], ...], cells: Sequence[int], rng: RngStre
     # The multi-class cells' items, side by side in one row: one unpack of
     # the cells' blocks of width bits, which the class offsets undo.
     raw = b"".join(cells[i].to_bytes(nbytes, "little") for i, _, _ in plan.multi)
-    items = np.flatnonzero(np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little"))
+    items = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little").view(bool).nonzero()[0]
+    full, row_bytes = (1 << m) - 1, n_classes * nbytes
+    if rows == 1:
+        # One row: each cell's items shuffled in place, which draws what
+        # permuted draws for a one-row block, and the classes cut off one set.
+        for _, a, b in plan.multi:
+            rng.np.shuffle(items[a:b])
+        items += plan.class_offsets
+        bits = ItemSet.from_numpy_indices(8 * row_bytes, items).bits
+        return [[f | bits >> j * width & full for j, f in enumerate(fixed)]]
     # The one-class cells' items, in one row's class blocks.
     fixed_row = sum(f << j * width for j, f in enumerate(fixed))
-    full, row_bytes = (1 << m) - 1, n_classes * nbytes
     out: list[list[int]] = []
     for start in range(0, rows, chunk):
         r = min(chunk, rows - start)

@@ -729,6 +729,26 @@ class TestInstances:
         with pytest.raises(ConstructionError, match="special index does not hold a special pair"):
             broken.validate()
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_a_regular_pair_with_the_wrong_overlap_is_rejected(self, variant):
+        # In the s1-only cell a1 holds 2 units and a2 the 1 unit of their
+        # overlap there, so 1 unit lies outside a1 | a2.  Moving one of a2's
+        # items there keeps both sides clauses and breaks only the overlap.
+        m = 160
+        inst = sample_instance(m, 4, variant, RngStream(31, 0))
+        j = (inst.i_star + 1) % inst.n
+        a1, a2 = inst.a1[j], inst.a2[j]
+        cell = inst.s.cells[2]
+        x, y = next(iter(a1 & a2 & cell)), next(iter(cell - (a1 | a2)))
+        moved = a2 - ItemSet.from_indices(m, [x]) | ItemSet.from_indices(m, [y])
+        assert is_clause(a1, inst.s) and is_clause(moved, inst.s.rev)
+        assert is_clause_pair(a1, a2, inst.s)
+        assert not is_clause_pair(a1, moved, inst.s)
+        broken = replace(inst, a2=_put(inst.a2, j, moved))
+        assert _false_predicates(broken) == {"first bidder"}
+        with pytest.raises(ConstructionError, match=f"^index {j}: not a clause pair for the first bidder$"):
+            broken.validate()
+
     def test_nu_prime_instances_satisfy_nu_invariants(self):
         rng = RngStream(123, 0)
         inst = sample_instance(160, 4, "nu_prime", rng)

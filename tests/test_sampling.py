@@ -387,11 +387,15 @@ def test_label_passes_read_raw_philox_lanes(n, how, held):
 def test_permuted_draws_depend_only_on_the_shape(shape):
     # Multi-row chunks shuffle intp index arrays, which numpy swaps with its
     # pointer-size loop; uint16 and uint32 arrays of the same shape take its
-    # generic loop, and draw the same permutation from the same words.
-    streams = [RngStream(41, 6).np for _ in range(3)]
-    blocks = [np.arange(np.prod(shape), dtype=t).reshape(shape) for t in (np.uint16, np.uint32, np.intp)]
-    for gen, block in zip(streams, blocks):
+    # generic loop, and draw the same permutation from the same words.  A
+    # one-row call shuffles its row with the 1-D shuffle instead, which
+    # draws the same, row by row.
+    streams = [RngStream(41, 6).np for _ in range(4)]
+    blocks = [np.arange(np.prod(shape), dtype=t).reshape(shape) for t in (np.uint16, np.uint32, np.intp, np.intp)]
+    for gen, block in zip(streams[:3], blocks):
         gen.permuted(block, axis=1, out=block)
+    for row in blocks[3]:
+        streams[3].shuffle(row)
     for block in blocks[1:]:
         np.testing.assert_array_equal(block, blocks[0])
     assert len({gen.integers(1 << 62) for gen in streams}) == 1
@@ -492,9 +496,11 @@ def assert_same_draws(cells, table, rows, seed):
 
 
 @pytest.mark.parametrize("m", [48, 160])
-@pytest.mark.parametrize("rows", ["2", "7", "chunk+3"])
+@pytest.mark.parametrize("rows", ["1", "2", "7", "chunk+1", "chunk+3"])
 def test_refine_rows_matches_reference_draw_for_draw(m, rows):
-    n_rows = (1 << 16) // m + 3 if rows == "chunk+3" else int(rows)
+    # One row takes the engine's one-row path; "chunk+1" ends on a chunk
+    # whose one row is shuffled as part of a multi-row call.
+    n_rows = (1 << 16) // m + int(rows[6:]) if rows.startswith("chunk") else int(rows)
     for seed in range(4 if n_rows < 10 else 2):
         cells, table = random_refinement(m, np.random.default_rng(seed))
         assert_same_draws(cells, table, n_rows, seed)
